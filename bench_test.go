@@ -161,6 +161,21 @@ func BenchmarkSurrogatePredict(b *testing.B) {
 	b.ReportMetric(p.RelStd*100, "relstd-%")
 }
 
+// streamSink keeps BenchmarkNewVMStream's result live.
+var streamSink trace.Stream
+
+// BenchmarkNewVMStream times building graphopt's VM stream: program state
+// plus its 1.5 MiB memory image, the setup the runner pays per SMT thread
+// per simulation request before the core loop sees an instruction.
+func BenchmarkNewVMStream(b *testing.B) {
+	w := workloads.GraphOpt()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		streamSink = trace.NewVMStream(w.Prog, w.Budget)
+	}
+}
+
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.TableI(quick)

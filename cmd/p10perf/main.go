@@ -36,12 +36,13 @@ import (
 )
 
 // The benchmark tier is split by op cost, because one -benchtime cannot
-// measure both ends honestly: the heavy tier (whole-core simulations,
-// 50ms-14s per op) runs a fixed few iterations, while the fast tier
-// (nanosecond-to-microsecond ops) needs real iteration counts — at 3
+// measure both ends honestly: the heavy tier (whole-core simulations and the
+// Fig. 11-shape forward selection, 40ms-14s per op) runs a fixed few
+// iterations, while the fast tier (nanosecond-to-millisecond ops, up to the
+// 1.5 MiB VM-image build) needs real iteration counts — at 3
 // iterations a 100ns op is timer noise, and noise was tripping the
 // regression gate on code that had not changed.
-const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff)$"
+const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkForwardSelect)$"
 
 // fastBenchTier runs at fastBenchTime iterations, -count fastBenchCount,
 // and the ledger keeps each benchmark's minimum ns/op (best-of-N is the
@@ -50,7 +51,7 @@ const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCore
 // the one-subscriber publish bench: it stays within the subscriber's buffer,
 // so the number is the buffered fast path, not saturation drain.
 const (
-	fastBenchTier  = "^(BenchmarkPublishNoSubscribers|BenchmarkPublishOneSubscriber|BenchmarkSurrogatePredict)$"
+	fastBenchTier  = "^(BenchmarkPublishNoSubscribers|BenchmarkPublishOneSubscriber|BenchmarkSurrogatePredict|BenchmarkNewVMStream)$"
 	fastBenchTime  = "1000x"
 	fastBenchCount = 3
 )
@@ -86,7 +87,7 @@ func goBin() string {
 }
 
 func runGoBench(benchtime string) ([]BenchResult, error) {
-	heavy, err := goBench(heavyBenchTier, benchtime, 1, ".")
+	heavy, err := goBench(heavyBenchTier, benchtime, 1, ".", "./internal/mlfit")
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ package isa
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -275,7 +276,7 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// opInfo is the static metadata table for opcodes.
+// opInfo is the static metadata of one opcode.
 type opInfo struct {
 	class  Class
 	flops  uint8 // floating-point operations performed
@@ -283,7 +284,10 @@ type opInfo struct {
 	size   uint8 // memory access bytes (0 if not memory)
 }
 
-var opTable = map[Opcode]opInfo{
+// opTable is indexed directly by opcode, because ClassOf and friends run on
+// every instruction of the core loop. Undefined opcodes read as the zero
+// opInfo: ClassNop, no flops, no memory.
+var opTable = [256]opInfo{
 	OpNop:  {class: ClassNop},
 	OpHalt: {class: ClassSystem},
 
@@ -437,7 +441,8 @@ func (p *Program) buildPCs() {
 }
 
 // Validate checks that the program is well-formed: branch targets in range,
-// registers within their files, entry in range.
+// registers within their files, entry in range, and memory-image regions
+// disjoint.
 func (p *Program) Validate() error {
 	if len(p.Code) == 0 {
 		return fmt.Errorf("program %q: empty code", p.Name)
@@ -457,6 +462,32 @@ func (p *Program) Validate() error {
 			if r.File != FileNone && !r.Valid() {
 				return fmt.Errorf("program %q: @%d %s invalid register %v", p.Name, i, in.Op, r)
 			}
+		}
+	}
+	return p.validateImage()
+}
+
+// validateImage rejects InitMem regions that overlap or wrap past the top of
+// the address space. Memory.LoadImage applies regions in map order, so either
+// would make the initial memory depend on iteration order.
+func (p *Program) validateImage() error {
+	type region struct{ addr, n uint64 }
+	rs := make([]region, 0, len(p.InitMem))
+	for addr, data := range p.InitMem {
+		if len(data) == 0 {
+			continue
+		}
+		n := uint64(len(data))
+		if addr+(n-1) < addr {
+			return fmt.Errorf("program %q: memory region %#x+%d wraps past 2^64", p.Name, addr, n)
+		}
+		rs = append(rs, region{addr, n})
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].addr < rs[j].addr })
+	for i := 1; i < len(rs); i++ {
+		if prev := rs[i-1]; rs[i].addr-prev.addr < prev.n {
+			return fmt.Errorf("program %q: memory regions %#x+%d and %#x+%d overlap",
+				p.Name, prev.addr, prev.n, rs[i].addr, rs[i].n)
 		}
 	}
 	return nil

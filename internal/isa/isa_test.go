@@ -45,12 +45,20 @@ func TestClassPredicates(t *testing.T) {
 }
 
 func TestOpcodeMetadataComplete(t *testing.T) {
+	// Every defined opcode except OpNop (ClassNop, no flops, no memory) has
+	// non-zero metadata, so an opcode left out of opTable reads as the zero
+	// opInfo and fails here.
 	for op := Opcode(0); int(op) < NumOpcodes; op++ {
-		if _, ok := opTable[op]; !ok {
-			t.Errorf("opcode %v missing from opTable", op)
+		if info := opTable[op]; (info == opInfo{}) != (op == OpNop) {
+			t.Errorf("opcode %v: opTable entry %+v", op, info)
 		}
 		if op.String() == "" {
 			t.Errorf("opcode %d has no name", op)
+		}
+	}
+	for op := NumOpcodes; op < len(opTable); op++ {
+		if info := opTable[op]; info != (opInfo{}) {
+			t.Errorf("undefined opcode %d has metadata %+v", op, info)
 		}
 	}
 	if len(opNames) != NumOpcodes {

@@ -41,17 +41,43 @@ func (m *Memory) SetByte(addr uint64, v byte) {
 	p[addr&(pageSize-1)] = v
 }
 
-// Read reads n little-endian bytes into a uint64 (n <= 8).
+// Read reads n little-endian bytes into a uint64 (n <= 8). An access inside
+// one page costs one page lookup; only a page-crossing access goes byte by
+// byte.
 func (m *Memory) Read(addr uint64, n int) uint64 {
 	var v uint64
+	if n <= 0 {
+		return 0
+	}
+	if off := int(addr & (pageSize - 1)); off+n <= pageSize {
+		p := m.pageFor(addr, false)
+		if p == nil {
+			return 0
+		}
+		for i, b := range p[off : off+n] {
+			v |= uint64(b) << (8 * i)
+		}
+		return v
+	}
 	for i := 0; i < n; i++ {
 		v |= uint64(m.ByteAt(addr+uint64(i))) << (8 * i)
 	}
 	return v
 }
 
-// Write writes the low n bytes of v little-endian (n <= 8).
+// Write writes the low n bytes of v little-endian (n <= 8), with the same
+// one-lookup fast path as Read.
 func (m *Memory) Write(addr uint64, v uint64, n int) {
+	if n <= 0 {
+		return
+	}
+	if off := int(addr & (pageSize - 1)); off+n <= pageSize {
+		p := m.pageFor(addr, true)
+		for i := range p[off : off+n] {
+			p[off+i] = byte(v >> (8 * i))
+		}
+		return
+	}
 	for i := 0; i < n; i++ {
 		m.SetByte(addr+uint64(i), byte(v>>(8*i)))
 	}
@@ -68,11 +94,15 @@ func (m *Memory) Write128(addr uint64, v [2]uint64) {
 	m.Write(addr+8, v[1], 8)
 }
 
-// LoadImage copies an initial memory image.
+// LoadImage copies an initial memory image a page-sized chunk at a time. It
+// creates every page the image touches, so Pages and Hash see the same
+// footprint as byte-by-byte stores would.
 func (m *Memory) LoadImage(img map[uint64][]byte) {
 	for addr, data := range img {
-		for i, b := range data {
-			m.SetByte(addr+uint64(i), b)
+		for len(data) > 0 {
+			n := copy(m.pageFor(addr, true)[addr&(pageSize-1):], data)
+			data = data[n:]
+			addr += uint64(n)
 		}
 	}
 }

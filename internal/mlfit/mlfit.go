@@ -79,42 +79,105 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// fitOnColumns fits y on the selected columns of X.
-func fitOnColumns(X [][]float64, y []float64, cols []int, opt Options) (*LinearModel, error) {
-	n := len(X)
-	if n == 0 || n != len(y) {
+// Sums holds the sample sums the normal equations are assembled from, for a
+// set of columns of X plus an all-ones intercept column: the upper triangle
+// of A'A and the vector A'y, where A is those columns. Each entry adds the
+// same row[i]*row[j] products in the same sample order as summing the
+// samples per fit would, so every fit assembled from one set of sums is
+// bit-identical to a fit that re-sums the samples — but the samples are
+// read once instead of once per candidate column set.
+type Sums struct {
+	pos []int       // column of X -> index into aa/ay; -1 when not summed
+	aa  [][]float64 // upper triangle; the last index is the ones column
+	ay  []float64
+}
+
+// NewSums sums every column of X, so FitColumns can then fit any column set.
+func NewSums(X [][]float64, y []float64) (*Sums, error) {
+	if len(X) == 0 {
+		return nil, errors.New("mlfit: no samples")
+	}
+	return newSums(X, y, allColumns(len(X[0])))
+}
+
+func allColumns(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// newSums sums the given columns of X (duplicates are summed once).
+func newSums(X [][]float64, y []float64, cols []int) (*Sums, error) {
+	if len(X) == 0 || len(X) != len(y) {
 		return nil, errors.New("mlfit: bad sample dimensions")
 	}
+	width := 0
+	for _, c := range cols {
+		width = max(width, c+1)
+	}
+	s := &Sums{pos: make([]int, width)}
+	for i := range s.pos {
+		s.pos[i] = -1
+	}
+	var uniq []int
+	for _, c := range cols {
+		if s.pos[c] < 0 {
+			s.pos[c] = len(uniq)
+			uniq = append(uniq, c)
+		}
+	}
+	dim := len(uniq) + 1
+	s.aa = make([][]float64, dim)
+	for i := range s.aa {
+		s.aa[i] = make([]float64, dim)
+	}
+	s.ay = make([]float64, dim)
+	row := make([]float64, dim)
+	row[dim-1] = 1
+	for n, x := range X {
+		for i, c := range uniq {
+			row[i] = x[c]
+		}
+		for i := 0; i < dim; i++ {
+			s.ay[i] += row[i] * y[n]
+			for j := i; j < dim; j++ {
+				s.aa[i][j] += row[i] * row[j]
+			}
+		}
+	}
+	return s, nil
+}
+
+// FitColumns fits y on the given columns of X from the precomputed sums.
+func (s *Sums) FitColumns(cols []int, opt Options) (*LinearModel, error) {
 	k := len(cols)
 	dim := k
 	if opt.Intercept {
 		dim++
 	}
+	idx := make([]int, dim)
+	for i, c := range cols {
+		if c < 0 || c >= len(s.pos) || s.pos[c] < 0 {
+			return nil, fmt.Errorf("mlfit: column %d not in the sums", c)
+		}
+		idx[i] = s.pos[c]
+	}
+	if opt.Intercept {
+		idx[k] = len(s.ay) - 1
+	}
 	// Normal equations: (Z'Z + ridge I) w = Z'y.
 	zt := make([][]float64, dim)
-	for i := range zt {
-		zt[i] = make([]float64, dim)
-	}
 	zy := make([]float64, dim)
-	row := make([]float64, dim)
-	for s := 0; s < n; s++ {
-		for i, c := range cols {
-			row[i] = X[s][c]
-		}
-		if opt.Intercept {
-			row[dim-1] = 1
-		}
-		for i := 0; i < dim; i++ {
-			zy[i] += row[i] * y[s]
-			for j := i; j < dim; j++ {
-				zt[i][j] += row[i] * row[j]
-			}
+	for i, a := range idx {
+		zt[i] = make([]float64, dim)
+		zy[i] = s.ay[a]
+		for j, b := range idx {
+			zt[i][j] = s.aa[min(a, b)][max(a, b)]
 		}
 	}
 	for i := 0; i < dim; i++ {
-		for j := 0; j < i; j++ {
-			zt[i][j] = zt[j][i]
-		}
 		ridge := opt.Ridge
 		if opt.Intercept && i == dim-1 {
 			ridge = 0 // do not shrink the intercept
@@ -148,7 +211,7 @@ func fitOnColumns(X [][]float64, y []float64, cols []int, opt Options) (*LinearM
 			}
 			sub := opt
 			sub.NonNegative = false
-			mm, err := fitOnColumns(X, y, keep, sub)
+			mm, err := s.FitColumns(keep, sub)
 			if err != nil {
 				return nil, err
 			}
@@ -163,7 +226,11 @@ func fitOnColumns(X [][]float64, y []float64, cols []int, opt Options) (*LinearM
 
 // FitColumns fits a linear model restricted to the given columns.
 func FitColumns(X [][]float64, y []float64, cols []int, opt Options) (*LinearModel, error) {
-	return fitOnColumns(X, y, cols, opt)
+	s, err := newSums(X, y, cols)
+	if err != nil {
+		return nil, err
+	}
+	return s.FitColumns(cols, opt)
 }
 
 // Fit fits a linear model on all columns of X.
@@ -171,11 +238,7 @@ func Fit(X [][]float64, y []float64, opt Options) (*LinearModel, error) {
 	if len(X) == 0 {
 		return nil, errors.New("mlfit: no samples")
 	}
-	cols := make([]int, len(X[0]))
-	for i := range cols {
-		cols[i] = i
-	}
-	return fitOnColumns(X, y, cols, opt)
+	return FitColumns(X, y, allColumns(len(X[0])), opt)
 }
 
 // MeanAbsPctError returns mean |pred-y|/mean(y) — the "% error on active
@@ -202,8 +265,9 @@ func MeanAbsPctError(m *LinearModel, X [][]float64, y []float64) float64 {
 // the feature that most reduces training error. This is how the methodology
 // derives constrained-input power models (Figs. 11 and 15a).
 func ForwardSelect(X [][]float64, y []float64, maxFeatures int, opt Options) (*LinearModel, error) {
-	if len(X) == 0 {
-		return nil, errors.New("mlfit: no samples")
+	s, err := NewSums(X, y)
+	if err != nil {
+		return nil, err
 	}
 	nf := len(X[0])
 	if maxFeatures > nf {
@@ -222,7 +286,7 @@ func ForwardSelect(X [][]float64, y []float64, maxFeatures int, opt Options) (*L
 				continue
 			}
 			cand := append(append([]int{}, chosen...), f)
-			m, err := fitOnColumns(X, y, cand, opt)
+			m, err := s.FitColumns(cand, opt)
 			if err != nil {
 				continue
 			}

@@ -128,6 +128,11 @@ func DesignProxy(ds *powermodel.Dataset, nCounters int) (*Proxy, error) {
 	X := ds.X()
 	y := ds.ActiveY()
 	opt := mlfit.Options{Intercept: true, NonNegative: true, Ridge: 1e-6}
+	// Every candidate fit draws on the same sample sums.
+	sums, err := mlfit.NewSums(X, y)
+	if err != nil {
+		return nil, err
+	}
 	var chosen []int
 	used := make(map[int]bool)
 	var best *mlfit.LinearModel
@@ -140,7 +145,7 @@ func DesignProxy(ds *powermodel.Dataset, nCounters int) (*Proxy, error) {
 				continue
 			}
 			cand := append(append([]int{}, chosen...), f)
-			m, err := mlfit.FitColumns(X, y, cand, opt)
+			m, err := sums.FitColumns(cand, opt)
 			if err != nil || len(m.Features) != len(cand) {
 				continue // pruned: a weight went negative
 			}
