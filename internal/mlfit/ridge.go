@@ -1,9 +1,10 @@
 // ridge.go is the surrogate-grade half of mlfit: a Householder-QR least
-// squares core shared with the classic LinearModel path, plus RidgeModel — a
-// standardized ridge regression with leave-one-out cross-validation (exact,
-// via the hat-matrix diagonal), greedy forward feature selection scored by
-// LOO error, and leverage-based per-prediction uncertainty. RidgeModel is
-// fully exported-field so it serializes to JSON and reloads with bit-identical
+// squares core used only by the ridge fits here (the classic LinearModel path
+// solves normal equations through Sums), plus RidgeModel — a standardized
+// ridge regression with leave-one-out cross-validation (exact, via the
+// hat-matrix diagonal), greedy forward feature selection scored by LOO error,
+// and leverage-based per-prediction uncertainty. RidgeModel is fully
+// exported-field so it serializes to JSON and reloads with bit-identical
 // predictions (encoding/json round-trips float64 exactly).
 package mlfit
 
@@ -33,54 +34,63 @@ const (
 // not supply one. Features are standardized, so the scale is data-independent.
 var DefaultLambdas = []float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
-// qrLS solves the dense least-squares problem min ||a x - b||_2 in place by
-// Householder QR: a is m rows by n columns with m >= n, b has length m. On
-// return a's upper triangle (with rdiag on the diagonal) is the R factor and
-// the returned r is an explicit n-by-n upper-triangular copy of it. The
-// factorization fails with "mlfit: singular system" when R's diagonal ratio
-// exceeds condLimit (rank deficiency the caller's ridge did not cover).
-func qrLS(a [][]float64, b []float64, n int) (x []float64, r [][]float64, err error) {
-	m := len(a)
-	if m < n || len(b) != m {
-		return nil, nil, errors.New("mlfit: bad least-squares dimensions")
+// householder turns col[p:] into the Householder vector that reflects it
+// onto the p-th unit vector and returns that reflection's R diagonal entry,
+// -||col[p:]||. A column that is already zero from row p down is left as is
+// and gets a zero diagonal: there is no reflection to apply.
+func householder(col []float64, p int) float64 {
+	v := col[p:]
+	// Column norm below the diagonal, accumulated with hypot for range.
+	nrm := 0.0
+	for _, x := range v {
+		nrm = math.Hypot(nrm, x)
 	}
-	rdiag := make([]float64, n)
-	for k := 0; k < n; k++ {
-		// Column norm below the diagonal, accumulated with hypot for range.
-		nrm := 0.0
-		for i := k; i < m; i++ {
-			nrm = math.Hypot(nrm, a[i][k])
+	if nrm != 0 {
+		if v[0] < 0 {
+			nrm = -nrm
 		}
-		if nrm != 0 {
-			if a[k][k] < 0 {
-				nrm = -nrm
-			}
-			for i := k; i < m; i++ {
-				a[i][k] /= nrm
-			}
-			a[k][k] += 1
-			// Apply the reflection to the remaining columns and to b.
-			for j := k + 1; j < n; j++ {
-				s := 0.0
-				for i := k; i < m; i++ {
-					s += a[i][k] * a[i][j]
-				}
-				s = -s / a[k][k]
-				for i := k; i < m; i++ {
-					a[i][j] += s * a[i][k]
-				}
-			}
-			s := 0.0
-			for i := k; i < m; i++ {
-				s += a[i][k] * b[i]
-			}
-			s = -s / a[k][k]
-			for i := k; i < m; i++ {
-				b[i] += s * a[i][k]
-			}
+		for i := range v {
+			v[i] /= nrm
 		}
-		rdiag[k] = -nrm
+		v[0] += 1
 	}
+	return -nrm
+}
+
+// applyReflector applies the reflection householder left in v at row p to c.
+func applyReflector(v, c []float64, p int) {
+	m := len(v)
+	v, c = v[p:m], c[p:m]
+	s := 0.0
+	for i, x := range v {
+		s += x * c[i]
+	}
+	s = -s / v[0]
+	for i, x := range v {
+		c[i] += s * x
+	}
+}
+
+// qrStep is one Householder QR step on column k of cols: it computes the
+// column's reflection and applies it to every later column and to b. It
+// returns R's k-th diagonal entry. Each later column's update reads only
+// column k, so the order the later columns are visited in does not change a
+// bit of the result.
+func qrStep(cols [][]float64, k int, b []float64) float64 {
+	v := cols[k]
+	rkk := householder(v, k)
+	if rkk != 0 {
+		for _, c := range cols[k+1:] {
+			applyReflector(v, c, k)
+		}
+		applyReflector(v, b, k)
+	}
+	return rkk
+}
+
+// conditioned reports whether an R diagonal is usable: no zero entry and a
+// largest-to-smallest ratio within condLimit.
+func conditioned(rdiag []float64) bool {
 	rmin, rmax := math.Inf(1), 0.0
 	for _, d := range rdiag {
 		ad := math.Abs(d)
@@ -91,24 +101,54 @@ func qrLS(a [][]float64, b []float64, n int) (x []float64, r [][]float64, err er
 			rmax = ad
 		}
 	}
-	if rmin == 0 || rmax/rmin > condLimit {
-		return nil, nil, errors.New("mlfit: singular system")
-	}
-	// Back-substitute R x = (Q'b)[:n].
-	x = make([]float64, n)
+	return rmin != 0 && rmax/rmin <= condLimit
+}
+
+// backSubstitute solves R x = b[:len(x)], where R is stored the way qrStep
+// leaves it: rdiag on the diagonal, cols[j][i] above it (i < j).
+func backSubstitute(cols [][]float64, rdiag, b, x []float64) {
+	n := len(x)
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for j := i + 1; j < n; j++ {
-			s -= a[i][j] * x[j]
+			s -= cols[j][i] * x[j]
 		}
 		x[i] = s / rdiag[i]
 	}
+}
+
+// qrLS solves the dense least-squares problem min ||A x - b||_2 in place by
+// Householder QR. cols holds A column by column, each column as long as b
+// (m rows, m >= len(cols)). On return the columns hold the R factor above
+// the diagonal and the returned r is an explicit upper-triangular copy of
+// it. The factorization fails with "mlfit: singular system" when R's
+// diagonal ratio exceeds condLimit (rank deficiency the caller's ridge did
+// not cover).
+func qrLS(cols [][]float64, b []float64) (x []float64, r [][]float64, err error) {
+	n, m := len(cols), len(b)
+	if m < n {
+		return nil, nil, errors.New("mlfit: bad least-squares dimensions")
+	}
+	for _, c := range cols {
+		if len(c) != m {
+			return nil, nil, errors.New("mlfit: bad least-squares dimensions")
+		}
+	}
+	rdiag := make([]float64, n)
+	for k := range cols {
+		rdiag[k] = qrStep(cols, k, b)
+	}
+	if !conditioned(rdiag) {
+		return nil, nil, errors.New("mlfit: singular system")
+	}
+	x = make([]float64, n)
+	backSubstitute(cols, rdiag, b, x)
 	r = make([][]float64, n)
 	for i := range r {
 		r[i] = make([]float64, n)
 		r[i][i] = rdiag[i]
 		for j := i + 1; j < n; j++ {
-			r[i][j] = a[i][j]
+			r[i][j] = cols[j][i]
 		}
 	}
 	return x, r, nil
@@ -251,57 +291,65 @@ func standardize(X [][]float64, cols []int) (mean, scale []float64) {
 	return mean, scale
 }
 
-// buildZ renders the standardized design matrix for the selected columns,
-// with a trailing ones column for the intercept.
+// buildZ renders the standardized design matrix for the selected columns
+// column by column, each column n rows long, with a trailing ones column for
+// the intercept.
 func buildZ(X [][]float64, cols []int, mean, scale []float64) [][]float64 {
-	dim := len(cols) + 1
-	Z := make([][]float64, len(X))
-	for s, row := range X {
-		z := make([]float64, dim)
-		for j, c := range cols {
-			z[j] = (row[c] - mean[j]) / scale[j]
+	Z := make([][]float64, len(cols)+1)
+	for j, c := range cols {
+		z := make([]float64, len(X))
+		for s, row := range X {
+			z[s] = (row[c] - mean[j]) / scale[j]
 		}
-		z[dim-1] = 1
-		Z[s] = z
+		Z[j] = z
 	}
+	ones := make([]float64, len(X))
+	for s := range ones {
+		ones[s] = 1
+	}
+	Z[len(cols)] = ones
 	return Z
 }
 
-// ridgeLOO fits coef on the standardized design Z (ones column last, not
-// shrunk) at the given lambda and returns the exact leave-one-out RMSE via
-// the hat-matrix diagonal: h_i = ||R^-T z_i||^2 and e_loo = e_i / (1 - h_i).
-// When wantR is true the explicit R factor is also returned.
+// augmentInto writes the data column z into dst's first rows and zeroes the
+// ridge rows below them, except row at, which gets the ridge entry d.
+func augmentInto(dst, z []float64, at int, d float64) []float64 {
+	copy(dst, z)
+	clear(dst[len(z):])
+	dst[at] = d
+	return dst
+}
+
+// ridgeLOO fits coef on the standardized design Z (columns of n rows, ones
+// column last and not shrunk) at the given lambda and returns the exact
+// leave-one-out RMSE via the hat-matrix diagonal: h_i = ||R^-T z_i||^2 and
+// e_loo = e_i / (1 - h_i). When wantR is true the explicit R factor is also
+// returned.
 func ridgeLOO(Z [][]float64, y []float64, lambda float64, wantR bool) (coef []float64, r [][]float64, looRMSE float64, err error) {
-	n := len(Z)
-	if n == 0 {
+	if len(Z) == 0 || len(Z[0]) == 0 {
 		return nil, nil, 0, errors.New("mlfit: no samples")
 	}
-	dim := len(Z[0])
-	a := make([][]float64, n+dim)
-	b := make([]float64, n+dim)
-	for i, z := range Z {
-		a[i] = append([]float64(nil), z...)
-		b[i] = y[i]
-	}
-	for j := 0; j < dim; j++ {
-		row := make([]float64, dim)
+	n, dim := len(Z[0]), len(Z)
+	a := make([][]float64, dim)
+	for j, z := range Z {
 		l := lambda
 		if j == dim-1 {
 			l = 0 // intercept column
 		}
-		row[j] = math.Sqrt(l + ridgeJitter)
-		a[n+j] = row
+		a[j] = augmentInto(make([]float64, n+dim), z, n+j, math.Sqrt(l+ridgeJitter))
 	}
-	coef, r, err = qrLS(a, b, dim)
+	b := make([]float64, n+dim)
+	copy(b, y[:n])
+	coef, r, err = qrLS(a, b)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	u := make([]float64, dim)
 	var sse float64
-	for i, z := range Z {
-		// Forward-substitute R' u = z for the leverage.
+	for i := 0; i < n; i++ {
+		// Forward-substitute R' u = z_i for the leverage.
 		for p := 0; p < dim; p++ {
-			s := z[p]
+			s := Z[p][i]
 			for q := 0; q < p; q++ {
 				s -= r[q][p] * u[q]
 			}
@@ -310,7 +358,7 @@ func ridgeLOO(Z [][]float64, y []float64, lambda float64, wantR bool) (coef []fl
 		var h, pred float64
 		for p := 0; p < dim; p++ {
 			h += u[p] * u[p]
-			pred += coef[p] * z[p]
+			pred += coef[p] * Z[p][i]
 		}
 		denom := 1 - h
 		if denom < hatFloor {
@@ -324,6 +372,96 @@ func ridgeLOO(Z [][]float64, y []float64, lambda float64, wantR bool) (coef []fl
 		r = nil
 	}
 	return coef, r, looRMSE, nil
+}
+
+// selectStep is the work one forward-selection step shares among its
+// candidates. Every candidate fit of a step factors the same augmented
+// matrix, m = n+k+2 rows by the k chosen columns, then the candidate, then
+// the unshrunk intercept, and the first k Householder reflections depend on
+// the chosen columns alone. selectStep makes them once and applies them to
+// the intercept column and to y, so scoring a candidate reflects only the
+// candidate's column, finishes the last two QR steps and back-substitutes:
+// O(n*k) per candidate instead of O(n*k^2), with no allocation. Every column
+// sees the same floating-point operations in the same order as a from-scratch
+// qrLS of the candidate's matrix, so the scores are bit-identical to it.
+type selectStep struct {
+	z     [][]float64 // standardized columns of every feature, ones column last
+	y     []float64
+	ridge float64 // sqrt(lambda + ridgeJitter): the shrunk columns' ridge entry
+	// cols holds the factored chosen columns, then the candidate's and the
+	// intercept's working columns; data holds the same columns unreflected.
+	cols, data [][]float64
+	rdiag      []float64
+	// one and rhs are the intercept column and y after the chosen columns'
+	// reflections; b, x and pred are per-candidate working space.
+	one, rhs   []float64
+	b, x, pred []float64
+}
+
+// newSelectStep factors the chosen columns for one forward-selection step.
+func newSelectStep(z [][]float64, y []float64, chosen []int, lambda float64) *selectStep {
+	n, k := len(y), len(chosen)
+	m := n + k + 2
+	st := &selectStep{
+		z:     z,
+		y:     y,
+		ridge: math.Sqrt(lambda + ridgeJitter),
+		cols:  make([][]float64, k+2),
+		data:  make([][]float64, k+2),
+		rdiag: make([]float64, k+2),
+		rhs:   make([]float64, m),
+		b:     make([]float64, m),
+		x:     make([]float64, k+2),
+		pred:  make([]float64, n),
+	}
+	ones := z[len(z)-1]
+	for p, c := range chosen {
+		st.cols[p] = augmentInto(make([]float64, m), z[c], n+p, st.ridge)
+		st.data[p] = z[c]
+	}
+	st.one = augmentInto(make([]float64, m), ones, n+k+1, math.Sqrt(ridgeJitter)) // unshrunk
+	copy(st.rhs, y)
+	prefix := append(st.cols[:k:k], st.one)
+	for p := 0; p < k; p++ {
+		st.rdiag[p] = qrStep(prefix, p, st.rhs)
+	}
+	st.cols[k] = make([]float64, m)
+	st.cols[k+1] = make([]float64, m)
+	st.data[k+1] = ones
+	return st
+}
+
+// score fits the chosen columns plus feature f and returns the fit's
+// training SSE; ok is false when the system is singular.
+func (st *selectStep) score(f int) (sse float64, ok bool) {
+	n, k := len(st.y), len(st.cols)-2
+	c := augmentInto(st.cols[k], st.z[f], n+k, st.ridge)
+	for p := 0; p < k; p++ {
+		if st.rdiag[p] != 0 {
+			applyReflector(st.cols[p], c, p)
+		}
+	}
+	copy(st.cols[k+1], st.one)
+	copy(st.b, st.rhs)
+	st.rdiag[k] = qrStep(st.cols, k, st.b)
+	st.rdiag[k+1] = qrStep(st.cols, k+1, st.b)
+	if !conditioned(st.rdiag) {
+		return 0, false
+	}
+	backSubstitute(st.cols, st.rdiag, st.b, st.x)
+	st.data[k] = st.z[f]
+	pred := st.pred
+	clear(pred)
+	for p, xp := range st.x {
+		for i, v := range st.data[p] {
+			pred[i] += xp * v
+		}
+	}
+	for i, yi := range st.y {
+		d := yi - pred[i]
+		sse += d * d
+	}
+	return sse, true
 }
 
 // fitRidgeModel assembles a RidgeModel for the chosen columns: it searches
@@ -418,6 +556,7 @@ func ForwardSelectRidgeCV(X [][]float64, y []float64, names []string, maxFeature
 		allCols[i] = i
 	}
 	fullMean, fullScale := standardize(X, allCols)
+	z := buildZ(X, allCols, fullMean, fullScale)
 	var (
 		chosen   []int
 		used     = make([]bool, nf)
@@ -425,47 +564,25 @@ func ForwardSelectRidgeCV(X [][]float64, y []float64, names []string, maxFeature
 		haveBest = false
 	)
 	for len(chosen) < maxFeatures {
+		st := newSelectStep(z, y, chosen, lambdaMid)
 		stepErr := math.Inf(1)
 		stepF := -1
-		cand := append(append([]int(nil), chosen...), -1)
 		for f := 0; f < nf; f++ {
 			if used[f] {
 				continue
 			}
-			cand[len(cand)-1] = f
-			mean := make([]float64, len(cand))
-			scale := make([]float64, len(cand))
-			for j, c := range cand {
-				mean[j], scale[j] = fullMean[c], fullScale[c]
-			}
-			Z := buildZ(X, cand, mean, scale)
-			coef, _, _, err := ridgeLOO(Z, y, lambdaMid, false)
-			if err != nil {
-				continue
-			}
-			var sse float64
-			for i, z := range Z {
-				var pred float64
-				for p, c := range coef {
-					pred += c * z[p]
-				}
-				d := y[i] - pred
-				sse += d * d
-			}
-			if sse < stepErr {
+			if sse, ok := st.score(f); ok && sse < stepErr {
 				stepErr, stepF = sse, f
 			}
 		}
 		if stepF < 0 {
 			break
 		}
-		cand[len(cand)-1] = stepF
-		mean := make([]float64, len(cand))
-		scale := make([]float64, len(cand))
-		for j, c := range cand {
-			mean[j], scale[j] = fullMean[c], fullScale[c]
+		Z := make([][]float64, 0, len(chosen)+2)
+		for _, c := range chosen {
+			Z = append(Z, z[c])
 		}
-		Z := buildZ(X, cand, mean, scale)
+		Z = append(Z, z[stepF], z[nf])
 		_, _, loo, err := ridgeLOO(Z, y, lambdaMid, false)
 		if err != nil {
 			break

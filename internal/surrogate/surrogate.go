@@ -539,6 +539,12 @@ func (m *Model) Valid() error {
 	}
 	width := m.Featurizer().NumFeatures()
 	subWidth := m.Featurizer().SubWidth()
+	// Predict reads any workload's envelope, corrected or not.
+	for w, b := range m.WlBoxes {
+		if b == nil || len(b.Lo) != subWidth || len(b.Hi) != subWidth {
+			return fmt.Errorf("surrogate: workload %q has no %d-wide training envelope", w, subWidth)
+		}
+	}
 	for i, t := range m.Targets {
 		if t.Name != TargetNames[i] {
 			return fmt.Errorf("surrogate: target %d is %q, want %q", i, t.Name, TargetNames[i])
@@ -558,7 +564,7 @@ func (m *Model) Valid() error {
 			if !m.Featurizer().Knows(w) {
 				return fmt.Errorf("surrogate: target %q corrects workload %q outside the vocabulary", t.Name, w)
 			}
-			if b := m.WlBoxes[w]; b == nil || len(b.Lo) != subWidth || len(b.Hi) != subWidth {
+			if m.WlBoxes[w] == nil {
 				return fmt.Errorf("surrogate: workload %q has no %d-wide training envelope", w, subWidth)
 			}
 			if wm == nil || wm.Rows < 1 {

@@ -88,10 +88,21 @@ func (t *Tier) Predict(req runner.Request) (runner.Result, bool) {
 	t.bufs.Put(buf)
 	if !(p.RelStd <= t.threshold) || // NaN-safe: a NaN std fails the gate
 		math.IsNaN(p.CPI) || math.IsInf(p.CPI, 0) || p.CPI <= 0 ||
-		math.IsNaN(p.Power) || math.IsInf(p.Power, 0) || p.Power <= 0 {
+		math.IsNaN(p.Power) || math.IsInf(p.Power, 0) || p.Power <= 0 ||
+		p.CPI*float64(servedInsts(req, smt)) > maxServedCycles {
 		return runner.Result{}, false
 	}
 	return synthesize(req, smt, p), true
+}
+
+// maxServedCycles bounds a served prediction's cycle count: up to 2^53 the
+// count converts to uint64 and back to the predicted CPI exactly.
+const maxServedCycles = 1 << 53
+
+// servedInsts is the instruction count a served result reports: the budget
+// on every thread, at least one.
+func servedInsts(req runner.Request, smt int) uint64 {
+	return max(req.Budget*uint64(smt), 1)
 }
 
 // synthesize renders a Prediction as a runner.Result shaped like a real
@@ -101,10 +112,7 @@ func (t *Tier) Predict(req runner.Request) (runner.Result, bool) {
 // component vector stay zero, which downstream consumers must treat as
 // "unmeasured" (the ledger tags the record as predicted).
 func synthesize(req runner.Request, smt int, p Prediction) runner.Result {
-	insts := req.Budget * uint64(smt)
-	if insts == 0 {
-		insts = 1
-	}
+	insts := servedInsts(req, smt)
 	cycles := uint64(math.Round(p.CPI * float64(insts)))
 	if cycles == 0 {
 		cycles = 1

@@ -974,8 +974,9 @@ func (c *core) addDeps(e *robEntry, thread int, in *isa.Inst) {
 	case isa.OpXvf32gerpp, isa.OpXvi8ger4pp:
 		add(lookup(in.Dst))
 	case isa.OpXxmtacc:
+		// The 4-VSR base wraps modulo NumVSR, as the VM executes it.
 		for r := 1; r < 4 && e.ndeps < len(e.deps); r++ {
-			add(lookup(isa.VSR(int(in.A.Idx) + r)))
+			add(lookup(isa.VSR((int(in.A.Idx) + r) % isa.NumVSR)))
 		}
 	}
 }
@@ -1002,7 +1003,7 @@ func (c *core) rename(thread int, in *isa.Inst, slot int, seq uint64) {
 		set(isa.VSR(int(in.Dst.Idx+1) % isa.NumVSR))
 	case isa.OpXxmfacc:
 		for r := 1; r < 4; r++ {
-			set(isa.VSR(int(in.Dst.Idx) + r))
+			set(isa.VSR((int(in.Dst.Idx) + r) % isa.NumVSR))
 		}
 	}
 }

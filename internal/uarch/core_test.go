@@ -492,3 +492,57 @@ func TestWatchdogFiresOnPathologicalLatency(t *testing.T) {
 		t.Fatal("watchdog did not fire on a 300k-cycle stall")
 	}
 }
+
+// accMoveProgram runs a chain of dependent FMAs into VSR(1), moves VSRs
+// 62, 63, 0 and 1 into ACC(0) and back out (the 4-VSR base wraps modulo
+// NumVSR), then runs a second FMA chain on consumer.
+func accMoveProgram(consumer isa.Reg, chain int) *isa.Program {
+	b := isa.NewBuilder("acc-move-wrap")
+	for i := 0; i < chain; i++ {
+		b.Xvmaddadp(isa.VSR(1), isa.VSR(2), isa.VSR(3))
+	}
+	b.Xxmtacc(isa.ACC(0), isa.VSR(62))
+	b.Xxmfacc(isa.VSR(62), isa.ACC(0))
+	for i := 0; i < chain; i++ {
+		b.Xvmaddadp(consumer, isa.VSR(2), isa.VSR(3))
+	}
+	return b.Halt().MustBuild()
+}
+
+// TestAccMoveWrapsVSRBase is the regression test for accumulator moves whose
+// 4-VSR group runs past VSR(63): the timing model must wrap the register
+// numbers the way the VM does (it indexed past the rename table before) and
+// keep the dependences. Xxmtacc from VSR(62) reads the first chain's VSR(1),
+// and Xxmfacc to VSR(62) writes VSR(0), so a second chain on VSR(0) must wait
+// for the first, while the same chain on an untouched VSR overlaps with it.
+func TestAccMoveWrapsVSRBase(t *testing.T) {
+	const chain = 12
+	for _, cfg := range []*Config{POWER9(), POWER10()} {
+		for _, smt := range []int{1, 4} {
+			for _, sched := range []struct {
+				name string
+				opts []SimOption
+			}{{"wakeup", nil}, {"naive", []SimOption{withNaiveSched()}}} {
+				run := func(consumer isa.Reg) uint64 {
+					p := accMoveProgram(consumer, chain)
+					streams := make([]trace.Stream, smt)
+					for i := range streams {
+						streams[i] = trace.NewVMStream(p, 1<<20)
+					}
+					res, err := Simulate(cfg, streams, 10_000_000, sched.opts...)
+					if err != nil {
+						t.Fatalf("%s smt%d %s: %v", cfg.Name, smt, sched.name, err)
+					}
+					return res.Activity.Cycles
+				}
+				wrapped, independent := run(isa.VSR(0)), run(isa.VSR(10))
+				lat := uint64(cfg.Latency[isa.ClassVSXFMA])
+				if wrapped < independent+chain*lat/2 {
+					t.Errorf("%s smt%d %s: chain on the wrapped VSR(0) took %d cycles, on an untouched VSR %d; "+
+						"want it to wait on the move (about %d cycles more)",
+						cfg.Name, smt, sched.name, wrapped, independent, chain*lat)
+				}
+			}
+		}
+	}
+}
