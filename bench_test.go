@@ -21,6 +21,13 @@ import (
 
 var quick = experiments.Options{Quick: true}
 
+// freshQuick is quick on a new runner. The figures that are runner artifacts
+// (runner.CachedJSON) are memoized per runner, so on a shared runner every
+// iteration after the first would time a map lookup.
+func freshQuick() experiments.Options {
+	return experiments.Options{Quick: true, Runner: runner.New(0)}
+}
+
 // benchSweep runs a representative multi-figure slice of the evaluation
 // (Table I followed by the Section II-B headline, which revisit the same
 // P9/P10 SPECint baseline points) through a dedicated simulation pool. A
@@ -248,7 +255,7 @@ func BenchmarkFig6(b *testing.B) {
 
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10(quick)
+		r, err := experiments.Fig10(freshQuick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,7 +271,7 @@ func BenchmarkFig10(b *testing.B) {
 
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11(quick)
+		r, err := experiments.Fig11(freshQuick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,12 +281,30 @@ func BenchmarkFig11(b *testing.B) {
 
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig12(quick)
+		r, err := experiments.Fig12(freshQuick())
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(r.MeanAbsDiffPct, "model-diff-%")
 		b.ReportMetric(float64(r.BottomUpEvents), "events")
+	}
+}
+
+// BenchmarkModelFigures times the three power-model figures the way a cold
+// sweep runs them: on one fresh runner with no cache directory, so the
+// shared counter/power corpus is collected once and fitted three ways.
+func BenchmarkModelFigures(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		o := freshQuick()
+		if _, err := experiments.Fig11(o); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.Fig12(o); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.Fig15(o); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -305,7 +330,7 @@ func BenchmarkFig14(b *testing.B) {
 
 func BenchmarkFig15a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig15(quick)
+		r, err := experiments.Fig15(freshQuick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -315,7 +340,7 @@ func BenchmarkFig15a(b *testing.B) {
 
 func BenchmarkFig15b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig15(quick)
+		r, err := experiments.Fig15(freshQuick())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,13 +37,14 @@ import (
 
 // The benchmark tier is split by op cost, because one -benchtime cannot
 // measure both ends honestly: the heavy tier (whole-core simulations, the
-// Fig. 11-shape forward selection and the surrogate-shape ridge forward
-// selection, 10ms-14s per op) runs a fixed few
+// Fig. 11-shape forward selection, the surrogate-shape ridge forward
+// selection and the three power-model figures on a fresh runner, 10ms-14s
+// per op) runs a fixed few
 // iterations, while the fast tier (nanosecond-to-millisecond ops, up to the
 // 1.5 MiB VM-image build) needs real iteration counts — at 3
 // iterations a 100ns op is timer noise, and noise was tripping the
 // regression gate on code that had not changed.
-const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkForwardSelect|BenchmarkForwardSelectRidgeCV)$"
+const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkForwardSelect|BenchmarkForwardSelectRidgeCV|BenchmarkModelFigures)$"
 
 // fastBenchTier runs at fastBenchTime iterations, -count fastBenchCount,
 // and the ledger keeps each benchmark's minimum ns/op (best-of-N is the

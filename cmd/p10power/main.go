@@ -65,10 +65,7 @@ func main() {
 		cliutil.Usagef("unknown config %q", *cfgName)
 	}
 
-	var streams []trace.Stream
-	for i := 0; i < *smt; i++ {
-		streams = append(streams, trace.NewVMStream(w.Prog, w.Budget/uint64(*smt)))
-	}
+	streams := trace.Threads(w.Prog, w.Budget/uint64(*smt), *smt)
 	res, err := uarch.Simulate(cfg, streams, 80_000_000, uarch.WithWarmup(w.Warmup))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

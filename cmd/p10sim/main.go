@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -26,7 +27,6 @@ import (
 
 	"power10sim/internal/cliutil"
 	"power10sim/internal/flightrec"
-	"power10sim/internal/isa"
 	"power10sim/internal/obsserver"
 	"power10sim/internal/power"
 	"power10sim/internal/progress"
@@ -139,10 +139,6 @@ func main() {
 	if *sampleMode != "full" {
 		os.Exit(runSampled(w, cfg, *smt, bud, *sampleMode, *metricsOut))
 	}
-	var streams []trace.Stream
-	for i := 0; i < *smt; i++ {
-		streams = append(streams, trace.NewVMStream(w.Prog, bud))
-	}
 	var reg *telemetry.Registry
 	var tr *telemetry.Tracer
 	if *metricsOut != "" || *serveAddr != "" {
@@ -236,8 +232,7 @@ func main() {
 	bus.Publish(progress.Event{Kind: progress.KindSimStarted, Sim: simName})
 	simStart := time.Now()
 	sp := tr.Begin("sim:"+simName, "p10sim")
-	res, err := uarch.Simulate(cfg, streams, 50_000_000,
-		uarch.WithWarmup(w.Warmup*uint64(*smt)),
+	res, err := simulate(cfg, w, *smt, bud,
 		uarch.WithContext(ctx),
 		simobs.SampleOption(cfg, tr, *sample, *smt))
 	sp.End()
@@ -245,7 +240,7 @@ func main() {
 	// content key matches an identical runner request's.
 	baseRec := func() runlog.Record {
 		req := runner.Request{Cfg: cfg, W: w, SMT: *smt, Budget: bud,
-			Warmup: w.Warmup * uint64(*smt), MaxCycles: 50_000_000}
+			Warmup: w.Warmup * uint64(*smt), MaxCycles: maxCycles}
 		key, _ := runner.ContentKey(req)
 		return runlog.Record{
 			Key: key, Config: cfg.Name, Workload: w.Name, SMT: *smt,
@@ -286,24 +281,7 @@ func main() {
 		rec.EPI = rec.EnergyTotal / float64(a.Instructions)
 	}
 	logRun(rec)
-	fmt.Printf("workload        %s (SMT%d) on %s\n", w.Name, *smt, cfg.Name)
-	fmt.Printf("cycles          %d\n", a.Cycles)
-	fmt.Printf("instructions    %d\n", a.Instructions)
-	fmt.Printf("internal ops    %d (fused pairs %d)\n", a.InternalOps, a.FusedPairs)
-	fmt.Printf("IPC             %.3f   CPI %.3f\n", a.IPC(), a.CPI())
-	fmt.Printf("flops/cycle     %.2f   (total %d)\n", a.FlopsPerCycle(), a.Flops)
-	fmt.Printf("branch MPKI     %.2f   wrong-path slots %d\n", a.MispredictsPerKI(), a.WrongPathSlots)
-	fmt.Printf("L1D miss rate   %.4f  (%d/%d)\n",
-		float64(a.L1DMisses)/max1(a.L1DAccesses), a.L1DMisses, a.L1DAccesses)
-	fmt.Printf("L2 miss rate    %.4f  L3 acc %d  mem acc %d\n",
-		float64(a.L2Misses)/max1(a.L2Accesses), a.L3Accesses, a.MemAccesses)
-	fmt.Printf("DERAT lookups   %d   TLB misses %d\n", a.DERATLookups, a.TLBMisses)
-	fmt.Printf("MMA ops         %d   active cycles %d\n", a.MMAOps, a.MMAActiveCycles)
-
-	fmt.Printf("power (total)   %.3f  [clock %.3f switch %.3f array %.3f leak %.3f]\n",
-		rep.Total, rep.Clock, rep.Switching, rep.Array, rep.Leakage)
-	fmt.Printf("perf/W (norm)   %.4f\n", a.IPC()/rep.Total)
-	_ = isa.NumOpcodes
+	writeReport(os.Stdout, w, cfg, *smt, a, rep)
 
 	if reg != nil {
 		labels := []telemetry.Label{
@@ -343,6 +321,38 @@ func main() {
 	shutdown()
 }
 
+// maxCycles bounds every full-mode simulation.
+const maxCycles = 50_000_000
+
+// simulate runs the full-mode simulation: smt threads of w, each bud
+// instructions long, with the workload's warmup scaled by the thread count.
+func simulate(cfg *uarch.Config, w *workloads.Workload, smt int, bud uint64, opts ...uarch.SimOption) (*uarch.Result, error) {
+	streams := trace.Threads(w.Prog, bud, smt)
+	opts = append([]uarch.SimOption{uarch.WithWarmup(w.Warmup * uint64(smt))}, opts...)
+	return uarch.Simulate(cfg, streams, maxCycles, opts...)
+}
+
+// writeReport prints the full-mode stdout report.
+func writeReport(out io.Writer, w *workloads.Workload, cfg *uarch.Config, smt int, a *uarch.Activity, rep *power.Report) {
+	fmt.Fprintf(out, "workload        %s (SMT%d) on %s\n", w.Name, smt, cfg.Name)
+	fmt.Fprintf(out, "cycles          %d\n", a.Cycles)
+	fmt.Fprintf(out, "instructions    %d\n", a.Instructions)
+	fmt.Fprintf(out, "internal ops    %d (fused pairs %d)\n", a.InternalOps, a.FusedPairs)
+	fmt.Fprintf(out, "IPC             %.3f   CPI %.3f\n", a.IPC(), a.CPI())
+	fmt.Fprintf(out, "flops/cycle     %.2f   (total %d)\n", a.FlopsPerCycle(), a.Flops)
+	fmt.Fprintf(out, "branch MPKI     %.2f   wrong-path slots %d\n", a.MispredictsPerKI(), a.WrongPathSlots)
+	fmt.Fprintf(out, "L1D miss rate   %.4f  (%d/%d)\n",
+		float64(a.L1DMisses)/max1(a.L1DAccesses), a.L1DMisses, a.L1DAccesses)
+	fmt.Fprintf(out, "L2 miss rate    %.4f  L3 acc %d  mem acc %d\n",
+		float64(a.L2Misses)/max1(a.L2Accesses), a.L3Accesses, a.MemAccesses)
+	fmt.Fprintf(out, "DERAT lookups   %d   TLB misses %d\n", a.DERATLookups, a.TLBMisses)
+	fmt.Fprintf(out, "MMA ops         %d   active cycles %d\n", a.MMAOps, a.MMAActiveCycles)
+
+	fmt.Fprintf(out, "power (total)   %.3f  [clock %.3f switch %.3f array %.3f leak %.3f]\n",
+		rep.Total, rep.Clock, rep.Switching, rep.Array, rep.Leakage)
+	fmt.Fprintf(out, "perf/W (norm)   %.4f\n", a.IPC()/rep.Total)
+}
+
 func max1(v uint64) float64 {
 	if v == 0 {
 		return 1
@@ -358,7 +368,7 @@ func max1(v uint64) float64 {
 func runSampled(w *workloads.Workload, cfg *uarch.Config, smt int, bud uint64, mode, metricsOut string) int {
 	spec := sampling.DefaultSpec()
 	warmup := w.Warmup * uint64(smt)
-	est, err := sampling.Run(cfg, w.Prog, bud, warmup, smt, 50_000_000, spec)
+	est, err := sampling.Run(cfg, w.Prog, bud, warmup, smt, maxCycles, spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -380,11 +390,7 @@ func runSampled(w *workloads.Workload, cfg *uarch.Config, smt int, bud uint64, m
 	fmt.Printf("perf/W (norm)   %.4f\n", a.IPC()/rep.Total)
 	exit := 0
 	if mode == "validate" {
-		var streams []trace.Stream
-		for i := 0; i < smt; i++ {
-			streams = append(streams, trace.NewVMStream(w.Prog, bud))
-		}
-		res, err := uarch.Simulate(cfg, streams, 50_000_000, uarch.WithWarmup(warmup))
+		res, err := simulate(cfg, w, smt, bud)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1

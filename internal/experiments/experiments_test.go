@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -333,5 +335,44 @@ func TestSocketExperiment(t *testing.T) {
 	}
 	if !strings.Contains(r.Table(), "CLY") {
 		t.Error("table missing CLY rows")
+	}
+}
+
+// TestModelFiguresShareOneCorpus checks the runner artifact memo behind the
+// power-model figures: Figs. 11, 12 and 15 on one runner read one corpus,
+// collected once, and none of them modifies it.
+func TestModelFiguresShareOneCorpus(t *testing.T) {
+	o := Options{Quick: true, Runner: runner.New(0)}
+	cfg := uarch.POWER10()
+	ds, err := modelDataset(cfg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := json.Marshal(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig11(o); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig12(o); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig15(o); err != nil {
+		t.Fatal(err)
+	}
+	again, err := modelDataset(cfg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != ds {
+		t.Error("a second corpus was collected on the same runner")
+	}
+	after, err := json.Marshal(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("the shared corpus changed while Figs. 11, 12 and 15 used it")
 	}
 }

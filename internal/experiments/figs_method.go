@@ -98,11 +98,7 @@ func Fig10(o Options) (*Fig10Result, error) {
 		runner.ForEach(o.jobs(), len(suite), func(i int) {
 			w := suite[i]
 			mk := func() []trace.Stream {
-				budget := o.scale(w.Budget) / 2
-				return []trace.Stream{
-					trace.NewVMStream(w.Prog, budget),
-					trace.NewVMStream(w.Prog, budget),
-				}
+				return trace.Threads(w.Prog, o.scale(w.Budget)/2, 2)
 			}
 			core, chip, err := apex.CoreVsChip(cfg, w.Name, mk, 5000, maxSimCycles,
 				uarch.WithWarmup(o.scaleWarmup(w.Warmup)))
@@ -167,8 +163,9 @@ func modelInputs(cfg *uarch.Config, o Options) ([]*workloads.Workload, uint64, s
 
 // modelDataset builds the shared counter/power corpus, fanning the
 // per-workload epoch collection across the options' job count. The corpus is
-// persisted through the runner's blob cache, so the three figures sharing it
-// collect it once per cache directory, not once per figure per process.
+// a runner artifact (runner.CachedJSON): the three figures sharing it collect
+// it once per runner, and with a cache directory once per directory. The
+// returned dataset is shared by every caller and must not be modified.
 func modelDataset(cfg *uarch.Config, o Options) (*powermodel.Dataset, error) {
 	ws, epoch, fp := modelInputs(cfg, o)
 	return runner.CachedJSON(o.pool(), "modeldataset", fp, func() (*powermodel.Dataset, error) {
@@ -188,22 +185,15 @@ func Fig11(o Options) (*Fig11Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := &Fig11Result{
-			Inputs: []int{1, 2, 4, 8, 16, 24},
-			Curves: map[string]map[int]float64{},
-		}
-		constraints := map[string]mlfit.Options{
+		res := &Fig11Result{Inputs: []int{1, 2, 4, 8, 16, 24}}
+		res.Curves, err = powermodel.ErrorCurves(ds, res.Inputs, map[string]mlfit.Options{
 			"ols":          {Intercept: true},
 			"ridge":        {Intercept: true, Ridge: 0.5},
 			"non-negative": {Intercept: true, NonNegative: true},
 			"no-intercept": {},
-		}
-		for name, opt := range constraints {
-			curve, err := powermodel.ErrorCurve(ds, res.Inputs, opt)
-			if err != nil {
-				return nil, err
-			}
-			res.Curves[name] = curve
+		})
+		if err != nil {
+			return nil, err
 		}
 		return res, nil
 	})

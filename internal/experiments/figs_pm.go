@@ -43,11 +43,15 @@ func Fig15(o Options) (*Fig15Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		curve, err := pmgmt.AccuracyCurve(ds, []int{2, 4, 8, 16, 24})
+		designs, err := pmgmt.DesignProxies(ds, 24)
 		if err != nil {
 			return nil, err
 		}
-		px, err := pmgmt.DesignProxy(ds, 16)
+		curve, err := designs.AccuracyCurve([]int{2, 4, 8, 16, 24})
+		if err != nil {
+			return nil, err
+		}
+		px, err := designs.Proxy(16)
 		if err != nil {
 			return nil, err
 		}

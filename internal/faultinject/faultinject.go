@@ -462,10 +462,7 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 // observation-window timeline.
 func (c *Campaign) goldenRun(ctx context.Context, w *workloads.Workload, smt int, budget, windowCycles uint64) (golden, error) {
 	var g golden
-	streams := make([]trace.Stream, 0, smt)
-	for i := 0; i < smt; i++ {
-		streams = append(streams, trace.NewVMStream(w.Prog, budget))
-	}
+	streams := trace.Threads(w.Prog, budget, smt)
 	var retired uint64
 	opts := []uarch.SimOption{
 		uarch.WithSampler(windowCycles, func(s uarch.CycleSample) {

@@ -79,25 +79,26 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Sums holds the sample sums the normal equations are assembled from, for a
-// set of columns of X plus an all-ones intercept column: the upper triangle
-// of A'A and the vector A'y, where A is those columns. Each entry adds the
-// same row[i]*row[j] products in the same sample order as summing the
-// samples per fit would, so every fit assembled from one set of sums is
-// bit-identical to a fit that re-sums the samples — but the samples are
-// read once instead of once per candidate column set.
-type Sums struct {
-	pos []int       // column of X -> index into aa/ay; -1 when not summed
-	aa  [][]float64 // upper triangle; the last index is the ones column
-	ay  []float64
+// Gram holds the target-independent half of the normal equations: the upper
+// triangle of A'A, where A is a set of columns of X plus an all-ones
+// intercept column. Each entry adds the same row[i]*row[j] products in the
+// same sample order as summing the samples per fit would, so every fit
+// assembled from it is bit-identical to a fit that re-sums the samples — but
+// the samples are read once per X instead of once per candidate column set
+// and per target.
+type Gram struct {
+	x    [][]float64
+	pos  []int       // column of X -> index into aa; -1 when not summed
+	cols []int       // summed columns, in index order
+	aa   [][]float64 // upper triangle; the last index is the ones column
 }
 
-// NewSums sums every column of X, so FitColumns can then fit any column set.
-func NewSums(X [][]float64, y []float64) (*Sums, error) {
+// NewGram sums every column of X, so fits over any column set can share it.
+func NewGram(X [][]float64) (*Gram, error) {
 	if len(X) == 0 {
 		return nil, errors.New("mlfit: no samples")
 	}
-	return newSums(X, y, allColumns(len(X[0])))
+	return newGram(X, allColumns(len(X[0]))), nil
 }
 
 func allColumns(n int) []int {
@@ -108,46 +109,82 @@ func allColumns(n int) []int {
 	return cols
 }
 
-// newSums sums the given columns of X (duplicates are summed once).
-func newSums(X [][]float64, y []float64, cols []int) (*Sums, error) {
-	if len(X) == 0 || len(X) != len(y) {
-		return nil, errors.New("mlfit: bad sample dimensions")
-	}
+// newGram sums the given columns of a non-empty X (duplicates are summed
+// once).
+func newGram(X [][]float64, cols []int) *Gram {
 	width := 0
 	for _, c := range cols {
 		width = max(width, c+1)
 	}
-	s := &Sums{pos: make([]int, width)}
-	for i := range s.pos {
-		s.pos[i] = -1
+	g := &Gram{x: X, pos: make([]int, width)}
+	for i := range g.pos {
+		g.pos[i] = -1
 	}
-	var uniq []int
 	for _, c := range cols {
-		if s.pos[c] < 0 {
-			s.pos[c] = len(uniq)
-			uniq = append(uniq, c)
+		if g.pos[c] < 0 {
+			g.pos[c] = len(g.cols)
+			g.cols = append(g.cols, c)
 		}
 	}
-	dim := len(uniq) + 1
-	s.aa = make([][]float64, dim)
-	for i := range s.aa {
-		s.aa[i] = make([]float64, dim)
+	dim := len(g.cols) + 1
+	g.aa = make([][]float64, dim)
+	for i := range g.aa {
+		g.aa[i] = make([]float64, dim)
 	}
-	s.ay = make([]float64, dim)
 	row := make([]float64, dim)
-	row[dim-1] = 1
-	for n, x := range X {
-		for i, c := range uniq {
-			row[i] = x[c]
-		}
+	for _, x := range X {
+		g.fillRow(row, x)
 		for i := 0; i < dim; i++ {
-			s.ay[i] += row[i] * y[n]
 			for j := i; j < dim; j++ {
-				s.aa[i][j] += row[i] * row[j]
+				g.aa[i][j] += row[i] * row[j]
 			}
 		}
 	}
+	return g
+}
+
+// fillRow copies one sample's summed columns into row, followed by the ones
+// column.
+func (g *Gram) fillRow(row, x []float64) {
+	for i, c := range g.cols {
+		row[i] = x[c]
+	}
+	row[len(g.cols)] = 1
+}
+
+// Sums pairs a Gram with one target: the vector A'y, summed in the same
+// sample order as A'A. Everything a fit of that target needs is here.
+type Sums struct {
+	g  *Gram
+	y  []float64
+	ay []float64
+}
+
+// Sums sums A'y for target y over the Gram's samples.
+func (g *Gram) Sums(y []float64) (*Sums, error) {
+	if len(g.x) != len(y) {
+		return nil, errors.New("mlfit: bad sample dimensions")
+	}
+	dim := len(g.cols) + 1
+	s := &Sums{g: g, y: y, ay: make([]float64, dim)}
+	row := make([]float64, dim)
+	for n, x := range g.x {
+		g.fillRow(row, x)
+		for i := 0; i < dim; i++ {
+			s.ay[i] += row[i] * y[n]
+		}
+	}
 	return s, nil
+}
+
+// NewSums sums every column of X against y, so FitColumns can then fit any
+// column set. Fitting several targets over one X should share a Gram.
+func NewSums(X [][]float64, y []float64) (*Sums, error) {
+	g, err := NewGram(X)
+	if err != nil {
+		return nil, err
+	}
+	return g.Sums(y)
 }
 
 // FitColumns fits y on the given columns of X from the precomputed sums.
@@ -158,11 +195,12 @@ func (s *Sums) FitColumns(cols []int, opt Options) (*LinearModel, error) {
 		dim++
 	}
 	idx := make([]int, dim)
+	g := s.g
 	for i, c := range cols {
-		if c < 0 || c >= len(s.pos) || s.pos[c] < 0 {
+		if c < 0 || c >= len(g.pos) || g.pos[c] < 0 {
 			return nil, fmt.Errorf("mlfit: column %d not in the sums", c)
 		}
-		idx[i] = s.pos[c]
+		idx[i] = g.pos[c]
 	}
 	if opt.Intercept {
 		idx[k] = len(s.ay) - 1
@@ -174,7 +212,7 @@ func (s *Sums) FitColumns(cols []int, opt Options) (*LinearModel, error) {
 		zt[i] = make([]float64, dim)
 		zy[i] = s.ay[a]
 		for j, b := range idx {
-			zt[i][j] = s.aa[min(a, b)][max(a, b)]
+			zt[i][j] = g.aa[min(a, b)][max(a, b)]
 		}
 	}
 	for i := 0; i < dim; i++ {
@@ -226,7 +264,10 @@ func (s *Sums) FitColumns(cols []int, opt Options) (*LinearModel, error) {
 
 // FitColumns fits a linear model restricted to the given columns.
 func FitColumns(X [][]float64, y []float64, cols []int, opt Options) (*LinearModel, error) {
-	s, err := newSums(X, y, cols)
+	if len(X) == 0 || len(X) != len(y) {
+		return nil, errors.New("mlfit: bad sample dimensions")
+	}
+	s, err := newGram(X, cols).Sums(y)
 	if err != nil {
 		return nil, err
 	}
@@ -269,12 +310,36 @@ func ForwardSelect(X [][]float64, y []float64, maxFeatures int, opt Options) (*L
 	if err != nil {
 		return nil, err
 	}
+	return s.ForwardSelect(maxFeatures, opt).At(maxFeatures)
+}
+
+// Path is a greedy selection's trajectory: Path[k-1] is the best model seen
+// in its first k steps. A step's choice does not depend on the feature
+// budget, so a selection run to budget K yields the result of every budget
+// k <= K.
+type Path []*LinearModel
+
+// At returns the model a selection with a budget of k features settles on:
+// the best over its first min(k, len(p)) steps.
+func (p Path) At(k int) (*LinearModel, error) {
+	if k <= 0 || len(p) == 0 {
+		return nil, errors.New("mlfit: forward selection found no usable feature")
+	}
+	return p[min(k, len(p))-1], nil
+}
+
+// ForwardSelect runs greedy forward selection over the summed columns for up
+// to maxFeatures steps and returns its path; the path ends early when no
+// remaining candidate fits.
+func (s *Sums) ForwardSelect(maxFeatures int, opt Options) Path {
+	X, y := s.g.x, s.y
 	nf := len(X[0])
 	if maxFeatures > nf {
 		maxFeatures = nf
 	}
 	var chosen []int
 	used := make([]bool, nf)
+	var path Path
 	var best *LinearModel
 	bestErr := math.Inf(1)
 	for len(chosen) < maxFeatures {
@@ -303,11 +368,9 @@ func ForwardSelect(X [][]float64, y []float64, maxFeatures int, opt Options) (*L
 		if stepBestErr < bestErr {
 			bestErr, best = stepBestErr, stepBestModel
 		}
+		path = append(path, best)
 	}
-	if best == nil {
-		return nil, errors.New("mlfit: forward selection found no usable feature")
-	}
-	return best, nil
+	return path
 }
 
 // KMeans clusters rows into k clusters (deterministic k-means++ style

@@ -323,7 +323,7 @@ func TestForwardSelectBitIdenticalOnFig11Shape(t *testing.T) {
 
 func TestSumsRejectsUnsummedColumn(t *testing.T) {
 	X, y := synthData(20, 0, 1)
-	s, err := newSums(X, y, []int{0, 2})
+	s, err := newGram(X, []int{0, 2}).Sums(y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,3 +354,83 @@ func BenchmarkForwardSelect(b *testing.B) {
 
 // modelSink keeps BenchmarkForwardSelect's result live.
 var modelSink *LinearModel
+
+// One Gram serves every target over the same X: each target's fits must
+// match the per-call assembly bit for bit.
+func TestGramSharedAcrossTargetsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	X, y := randProblem(rng, 120, 9, true)
+	g, err := NewGram(X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := [][]float64{y, make([]float64, len(y)), make([]float64, len(y))}
+	for s := range X {
+		targets[1][s] = 2*X[s][4] - X[s][7] + 0.1*rng.NormFloat64()
+		targets[2][s] = float64(s % 3)
+	}
+	for ti, ty := range targets {
+		sums, err := g.Sums(ty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, opt := range sumsOptions {
+			for _, cols := range [][]int{{0}, {2, 5, 1}, allColumns(len(X[0])), {3, 8}} {
+				got, gerr := sums.FitColumns(cols, opt)
+				want, werr := refFitOnColumns(X, ty, cols, opt)
+				if d := sameModel(got, gerr, want, werr); d != "" {
+					t.Fatalf("target %d %s cols %v: %s", ti, name, cols, d)
+				}
+			}
+		}
+	}
+	if _, err := g.Sums(y[:3]); err == nil {
+		t.Error("Gram.Sums with mismatched y: no error")
+	}
+	if _, err := NewGram(nil); err == nil {
+		t.Error("NewGram with no samples: no error")
+	}
+}
+
+// A selection path run to budget K must give, at every k <= K, exactly the
+// model a per-budget selection with per-call assembly returns.
+func TestPathMatchesPerBudgetSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 4; trial++ {
+		X, y := randProblem(rng, 60+rng.Intn(80), 7+rng.Intn(4), trial%2 == 0)
+		nf := len(X[0])
+		sums, err := NewSums(X, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, opt := range sumsOptions {
+			path := sums.ForwardSelect(nf+2, opt)
+			for k := 0; k <= nf+2; k++ {
+				got, gerr := path.At(k)
+				want, werr := refForwardSelect(X, y, k, opt)
+				if d := sameModel(got, gerr, want, werr); d != "" {
+					t.Fatalf("trial %d %s k=%d: %s", trial, name, k, d)
+				}
+			}
+		}
+	}
+}
+
+func TestPathOnFig11ShapeMatchesPerBudgetSelection(t *testing.T) {
+	X, y := fig11Problem(17)
+	sums, err := NewSums(X, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets := []int{1, 2, 4, 8}
+	for _, name := range []string{"ols", "non-negative"} {
+		path := sums.ForwardSelect(8, sumsOptions[name])
+		for _, k := range budgets {
+			got, gerr := path.At(k)
+			want, werr := refForwardSelect(X, y, k, sumsOptions[name])
+			if d := sameModel(got, gerr, want, werr); d != "" {
+				t.Errorf("%s k=%d: %s", name, k, d)
+			}
+		}
+	}
+}

@@ -113,12 +113,19 @@ func hardwareImplementable(name string) bool {
 	return true
 }
 
-// DesignProxy selects up to nCounters inputs from the dataset under
-// hardware implementation constraints (implementable event counters only,
-// non-negative coefficients), mirroring the design-space exploration that
-// produced the final 16-counter POWER10 proxy.
-func DesignProxy(ds *powermodel.Dataset, nCounters int) (*Proxy, error) {
-	if nCounters <= 0 {
+// ProxyDesigns is the strict greedy proxy selection run once up to its
+// largest counter budget. A step's choice does not depend on the budget, so
+// the design for every smaller budget is read off the same path.
+type ProxyDesigns struct {
+	ds          *powermodel.Dataset
+	maxCounters int
+	path        mlfit.Path
+}
+
+// DesignProxies runs the proxy selection of DesignProxy up to maxCounters
+// inputs.
+func DesignProxies(ds *powermodel.Dataset, maxCounters int) (*ProxyDesigns, error) {
+	if maxCounters <= 0 {
 		return nil, errors.New("pmgmt: proxy needs at least one counter")
 	}
 	// Strict non-negative greedy: grow the counter set one input at a
@@ -135,9 +142,10 @@ func DesignProxy(ds *powermodel.Dataset, nCounters int) (*Proxy, error) {
 	}
 	var chosen []int
 	used := make(map[int]bool)
+	d := &ProxyDesigns{ds: ds, maxCounters: maxCounters}
 	var best *mlfit.LinearModel
 	bestErr := 1e18
-	for len(chosen) < nCounters {
+	for len(chosen) < maxCounters {
 		stepF, stepErr := -1, 1e18
 		var stepModel *mlfit.LinearModel
 		for f := range ds.Names {
@@ -162,13 +170,27 @@ func DesignProxy(ds *powermodel.Dataset, nCounters int) (*Proxy, error) {
 		if stepErr < bestErr {
 			bestErr, best = stepErr, stepModel
 		}
+		d.path = append(d.path, best)
 	}
-	if best == nil {
+	return d, nil
+}
+
+// Proxy returns the design with a budget of nCounters inputs, which must not
+// exceed the budget the selection ran to.
+func (d *ProxyDesigns) Proxy(nCounters int) (*Proxy, error) {
+	if nCounters <= 0 {
+		return nil, errors.New("pmgmt: proxy needs at least one counter")
+	}
+	if nCounters > d.maxCounters {
+		return nil, fmt.Errorf("pmgmt: %d-counter proxy requested from a selection run to %d", nCounters, d.maxCounters)
+	}
+	best, err := d.path.At(nCounters)
+	if err != nil {
 		return nil, errors.New("pmgmt: no implementable counter set found")
 	}
-	p := &Proxy{Model: best, ActiveError: mlfit.MeanAbsPctError(best, X, y)}
+	p := &Proxy{Model: best, ActiveError: mlfit.MeanAbsPctError(best, d.ds.X(), d.ds.ActiveY())}
 	for _, f := range best.Features {
-		p.Counters = append(p.Counters, ds.Names[f])
+		p.Counters = append(p.Counters, d.ds.Names[f])
 	}
 	return p, nil
 }
@@ -178,16 +200,28 @@ func (p *Proxy) Estimate(counters []float64) float64 { return p.Model.Predict(co
 
 // AccuracyCurve produces Fig. 15(a): active-power error versus counter
 // budget under the hardware constraints.
-func AccuracyCurve(ds *powermodel.Dataset, budgets []int) (map[int]float64, error) {
+func (d *ProxyDesigns) AccuracyCurve(budgets []int) (map[int]float64, error) {
 	out := map[int]float64{}
 	for _, n := range budgets {
-		p, err := DesignProxy(ds, n)
+		p, err := d.Proxy(n)
 		if err != nil {
 			return nil, err
 		}
 		out[n] = p.ActiveError
 	}
 	return out, nil
+}
+
+// DesignProxy selects up to nCounters inputs from the dataset under
+// hardware implementation constraints (implementable event counters only,
+// non-negative coefficients), mirroring the design-space exploration that
+// produced the final 16-counter POWER10 proxy.
+func DesignProxy(ds *powermodel.Dataset, nCounters int) (*Proxy, error) {
+	d, err := DesignProxies(ds, nCounters)
+	if err != nil {
+		return nil, err
+	}
+	return d.Proxy(nCounters)
 }
 
 // GranularityError produces Fig. 15(b): the proxy's total-power prediction

@@ -104,7 +104,11 @@ func TestProxyDesignSixteenCounters(t *testing.T) {
 
 func TestProxyAccuracyCurveShape(t *testing.T) {
 	ds := proxyDataset(t)
-	curve, err := AccuracyCurve(ds, []int{2, 4, 8, 16})
+	designs, err := DesignProxies(ds, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve, err := designs.AccuracyCurve([]int{2, 4, 8, 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,16 +158,42 @@ func FitTopDown(ds *Dataset, nInputs int, opt mlfit.Options) (*TopDown, error) {
 // Predict returns the model's active-power estimate for a counter row.
 func (t *TopDown) Predict(row []float64) float64 { return t.Model.Predict(row) }
 
-// ErrorCurve produces Fig. 11: active-power error versus input budget, for a
-// given modeling constraint set.
+// ErrorCurve produces one Fig. 11 curve: active-power error versus input
+// budget under one modeling constraint set.
 func ErrorCurve(ds *Dataset, inputCounts []int, opt mlfit.Options) (map[int]float64, error) {
-	out := map[int]float64{}
+	curves, err := ErrorCurves(ds, inputCounts, map[string]mlfit.Options{"": opt})
+	if err != nil {
+		return nil, err
+	}
+	return curves[""], nil
+}
+
+// ErrorCurves produces Fig. 11: active-power error versus input budget, one
+// curve per named modeling constraint set. Every curve reads each budget off
+// one greedy path run to the largest budget, and all of them fit from one set
+// of sample sums.
+func ErrorCurves(ds *Dataset, inputCounts []int, constraints map[string]mlfit.Options) (map[string]map[int]float64, error) {
+	X, y := ds.X(), ds.ActiveY()
+	sums, err := mlfit.NewSums(X, y)
+	if err != nil {
+		return nil, err
+	}
+	maxInputs := 0
 	for _, n := range inputCounts {
-		td, err := FitTopDown(ds, n, opt)
-		if err != nil {
-			return nil, err
+		maxInputs = max(maxInputs, n)
+	}
+	out := map[string]map[int]float64{}
+	for name, opt := range constraints {
+		path := sums.ForwardSelect(maxInputs, opt)
+		curve := map[int]float64{}
+		for _, n := range inputCounts {
+			m, err := path.At(n)
+			if err != nil {
+				return nil, err
+			}
+			curve[n] = mlfit.MeanAbsPctError(m, X, y)
 		}
-		out[n] = td.TrainError
+		out[name] = curve
 	}
 	return out, nil
 }
@@ -188,7 +214,11 @@ func FitBottomUp(ds *Dataset, maxPerComponent int, opt mlfit.Options) (*BottomUp
 		return nil, errors.New("powermodel: empty dataset")
 	}
 	bu := &BottomUp{}
-	X := ds.X()
+	// Every component regresses on the same counters: one Gram serves all.
+	gram, err := mlfit.NewGram(ds.X())
+	if err != nil {
+		return nil, err
+	}
 	events := map[int]bool{}
 	for ci := range power.ComponentNames {
 		y := ds.componentY(ci)
@@ -203,7 +233,11 @@ func FitBottomUp(ds *Dataset, maxPerComponent int, opt mlfit.Options) (*BottomUp
 			bu.Components = append(bu.Components, nil)
 			continue
 		}
-		m, err := mlfit.ForwardSelect(X, y, maxPerComponent, opt)
+		sums, err := gram.Sums(y)
+		if err != nil {
+			return nil, err
+		}
+		m, err := sums.ForwardSelect(maxPerComponent, opt).At(maxPerComponent)
 		if err != nil {
 			return nil, fmt.Errorf("powermodel: component %s: %w", power.ComponentNames[ci], err)
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,16 +12,27 @@ import (
 	"power10sim/internal/workloads"
 )
 
-// The blob cache generalizes the per-Request disk cache to any expensive
-// deterministic derived artifact: the epoch-collection corpora behind the
+// The blob cache generalizes the per-Request caches to any expensive
+// deterministic derived artifact: the epoch-collection corpus behind the
 // power-model figures, greedy counter-selection fits, the APEX core-vs-chip
 // points. Those computations run simulations outside the Request shape (epoch
-// callbacks, paired model variants), so the result cache alone cannot make a
-// warm sweep skip them; content-keyed blobs can. The soundness argument is
-// the same: every computation cached here is a pure function of the
-// fingerprinted inputs (the whole sweep is covered by a determinism
-// regression test), so a content hit may substitute for recomputation without
-// changing one reported byte.
+// callbacks, paired model variants), so the result cache alone cannot dedupe
+// them. Like results, artifacts have two tiers: an in-process memo (one
+// computation per runner, so Figs. 11, 12 and 15 collect their shared corpus
+// once per sweep) and, with a cache directory, content-keyed files that let a
+// warm sweep skip them across processes. The soundness argument is the same:
+// every computation cached here is a pure function of the fingerprinted
+// inputs (the whole sweep is covered by a determinism regression test), so a
+// content hit may substitute for recomputation without changing one reported
+// byte.
+
+// blobEntry is one in-process artifact slot: the first caller computes and
+// closes ready; concurrent callers for the same artifact wait on it.
+type blobEntry struct {
+	ready chan struct{}
+	val   any
+	err   error
+}
 
 // blobEnvelope wraps a stored artifact with enough identity to reject a
 // foreign or stale file (the binding identity is the file name; the envelope
@@ -43,16 +55,65 @@ func WorkloadFingerprint(w *workloads.Workload) string {
 		w.Name, len(w.Prog.Code), fingerprint(w.Prog), w.Budget, w.Warmup)
 }
 
-// CachedJSON memoizes a deterministic computation in the runner's persistent
-// cache directory. kind namespaces the artifact; fp must fingerprint every
-// input the computation depends on (configs via %#v, workloads via
-// WorkloadFingerprint, plus all scalar parameters). With no cache directory
-// configured — or a nil runner — it degenerates to compute(). Marshal or
-// write failures fall back to the computed value; corrupt entries read as
-// misses and are rewritten.
+// CachedJSON memoizes a deterministic computation per runner and, when a
+// cache directory is set, in the runner's persistent cache directory. kind
+// namespaces the artifact; fp must fingerprint every input the computation
+// depends on (configs via %#v, workloads via WorkloadFingerprint, plus all
+// scalar parameters). Concurrent callers for one (kind, fp) share a single
+// computation, and every later caller on the same runner receives the same
+// value — callers must treat it as read-only. Errors are returned to the
+// callers waiting on that computation but never kept, so the next call
+// recomputes. A nil runner degenerates to compute(). Marshal or write
+// failures fall back to the computed value; corrupt entries read as misses
+// and are rewritten.
 func CachedJSON[T any](r *Runner, kind, fp string, compute func() (T, error)) (T, error) {
+	if r == nil {
+		return compute()
+	}
+	k := kind + "|" + fp
+	r.mu.Lock()
+	if r.blobs == nil {
+		r.blobs = map[string]*blobEntry{}
+	}
+	e, hit := r.blobs[k]
+	if !hit {
+		e = &blobEntry{ready: make(chan struct{})}
+		r.blobs[k] = e
+	}
+	r.mu.Unlock()
+	if hit {
+		<-e.ready
+		if e.err != nil {
+			var zero T
+			return zero, e.err
+		}
+		return e.val.(T), nil
+	}
+	// The slot is settled even if compute panics, so waiters never hang and
+	// the failed computation is not kept.
+	e.err = errBlobAborted
+	defer func() {
+		if e.err != nil {
+			r.mu.Lock()
+			delete(r.blobs, k)
+			r.mu.Unlock()
+		}
+		close(e.ready)
+	}()
+	v, err := diskCachedJSON(r, kind, fp, compute)
+	e.val, e.err = v, err
+	return v, err
+}
+
+// errBlobAborted is what waiters see when the computation they coalesced onto
+// panicked instead of returning.
+var errBlobAborted = errors.New("runner: artifact computation aborted")
+
+// diskCachedJSON is CachedJSON's persistent tier: with no cache directory it
+// is compute().
+func diskCachedJSON[T any](r *Runner, kind, fp string, compute func() (T, error)) (T, error) {
 	var zero T
-	if r == nil || r.cacheDir == "" {
+	if r.cacheDir == "" {
 		return compute()
 	}
 	h := sha256.New()

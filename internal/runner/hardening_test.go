@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"power10sim/internal/isa"
 	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
@@ -292,5 +294,62 @@ func TestChaosTelemetryAccountsFailures(t *testing.T) {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, stats say %d", name, got, want)
 		}
+	}
+}
+
+// faultingWorkload runs a short counted loop and then takes an indirect
+// branch to an out-of-range target, which faults the functional executor.
+func faultingWorkload() *workloads.Workload {
+	p := isa.NewBuilder("fault").
+		Li(isa.GPR(1), 0).
+		Li(isa.GPR(2), 24).
+		Label("top").
+		Addi(isa.GPR(1), isa.GPR(1), 1).
+		Bc(isa.CondLT, isa.GPR(1), isa.GPR(2), "top").
+		Li(isa.GPR(3), 9999).
+		Br(isa.GPR(3)).
+		Halt().
+		MustBuild()
+	return &workloads.Workload{Name: "fault", Prog: p, Budget: 10_000}
+}
+
+func TestVMFaultFailsTheRequest(t *testing.T) {
+	for _, smt := range []int{1, 2} {
+		r := New(1)
+		res := r.Do(Request{Cfg: uarch.POWER10(), W: faultingWorkload(), SMT: smt,
+			Budget: 10_000, MaxCycles: 10_000_000})
+		if res.Err == nil {
+			t.Fatalf("SMT%d: faulting program returned no error (%d instructions retired)",
+				smt, res.Activity.Instructions)
+		}
+		if !strings.Contains(res.Err.Error(), "out of range") {
+			t.Errorf("SMT%d: err = %v, want the VM fault", smt, res.Err)
+		}
+		if IsTransient(res.Err) {
+			t.Errorf("SMT%d: a deterministic VM fault was classified transient", smt)
+		}
+	}
+}
+
+// TestUnboundedBudgetStopsAtCycleLimit submits an SMT2 request whose
+// instruction budget no run could reach, on a program that never halts. The
+// strict cycle limit must end it promptly: the threads' shared functional
+// execution runs only as far as the timing model reads.
+func TestUnboundedBudgetStopsAtCycleLimit(t *testing.T) {
+	p := isa.NewBuilder("endless").
+		Li(isa.GPR(1), 0).
+		Label("top").
+		Addi(isa.GPR(1), isa.GPR(1), 1).
+		B("top").
+		MustBuild()
+	w := &workloads.Workload{Name: "endless", Prog: p, Budget: 1 << 40}
+	start := time.Now()
+	res := New(1).Do(Request{Cfg: uarch.POWER10(), W: w, SMT: 2, Budget: 1 << 40, MaxCycles: 20_000})
+	var hang *uarch.HangError
+	if !errors.As(res.Err, &hang) || hang.Reason != "cycle limit exhausted" {
+		t.Fatalf("err = %v, want the strict cycle limit", res.Err)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Errorf("cycle-limited run took %v", el)
 	}
 }

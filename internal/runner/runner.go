@@ -158,10 +158,7 @@ func (r Request) runCtx(ctx context.Context) Result {
 		act := est.Activity
 		return Result{Activity: &act, Report: est.Report, Sampling: &est.Meta}
 	}
-	streams := make([]trace.Stream, 0, smt)
-	for i := 0; i < smt; i++ {
-		streams = append(streams, trace.NewVMStream(r.W.Prog, r.Budget))
-	}
+	streams := trace.Threads(r.W.Prog, r.Budget, smt)
 	opts := []uarch.SimOption{uarch.WithWarmup(r.Warmup), uarch.WithStrictCycleLimit()}
 	if ctx != nil && ctx.Done() != nil {
 		opts = append(opts, uarch.WithContext(ctx))
@@ -293,6 +290,10 @@ type Runner struct {
 	cache    map[key]*entry
 	stats    Stats
 	inflight int
+
+	// blobs is the in-process tier of CachedJSON, keyed by artifact kind
+	// and fingerprint (see blobcache.go).
+	blobs map[string]*blobEntry
 
 	// cacheDir roots the persistent result cache; empty disables it (see
 	// SetCacheDir in diskcache.go).

@@ -5,6 +5,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"power10sim/internal/isa"
 )
@@ -17,6 +18,9 @@ type Stream interface {
 	Program() *isa.Program
 	// Reset rewinds the stream to its beginning.
 	Reset()
+	// Err reports the functional execution error that ended the stream
+	// early, if any. A stream that ran out of budget or halted reports nil.
+	Err() error
 }
 
 // VMStream executes a program functionally, on demand, up to a budget of
@@ -63,7 +67,7 @@ func (s *VMStream) Reset() {
 	s.err = nil
 }
 
-// Err reports a functional execution error, if any occurred.
+// Err implements Stream.
 func (s *VMStream) Err() error { return s.err }
 
 // SliceStream replays a captured record slice.
@@ -116,6 +120,9 @@ func (s *SliceStream) Program() *isa.Program { return s.prog }
 // Reset implements Stream.
 func (s *SliceStream) Reset() { s.pos = 0; s.delivered = 0 }
 
+// Err implements Stream: replaying captured records cannot fail.
+func (s *SliceStream) Err() error { return nil }
+
 // Len returns the number of captured records.
 func (s *SliceStream) Len() int { return len(s.recs) }
 
@@ -136,6 +143,118 @@ func Capture(prog *isa.Program, budget uint64) ([]isa.DynInst, error) {
 	}
 	return recs, nil
 }
+
+// Threads returns smt streams that each deliver the records a VMStream over
+// prog and budget would deliver: the per-thread inputs of an SMT run whose
+// threads all execute the same program. The program is executed functionally
+// once, on demand, by whichever thread first asks for a record. The records
+// some thread has yet to read are buffered and the prefix every thread has
+// read is dropped, so memory follows how far the threads drift apart, not the
+// budget, and execution stops when the consumer stops reading. A stream whose
+// records end on an execution fault reports it through Err, as a VMStream
+// does. The streams share state: read them from one goroutine. A single
+// thread gets a plain VMStream, which delivers records about a third faster
+// than a shared stream's bookkeeping allows.
+func Threads(prog *isa.Program, budget uint64, smt int) []Stream {
+	if smt == 1 {
+		return []Stream{NewVMStream(prog, budget)}
+	}
+	sh := &sharedTrace{
+		src:  NewVMStream(prog, budget),
+		recs: make([]isa.DynInst, 0, 64),
+		pos:  make([]uint64, smt),
+	}
+	streams := make([]Stream, smt)
+	for i := range streams {
+		streams[i] = &threadStream{sh: sh, id: i}
+	}
+	return streams
+}
+
+// sharedTrace is the functional execution behind a Threads group. recs holds
+// records base, base+1, ... of the dynamic stream; pos holds each thread's
+// next record.
+type sharedTrace struct {
+	src  *VMStream
+	recs []isa.DynInst
+	base uint64
+	pos  []uint64
+	done bool // src has ended: budget, halt or fault
+}
+
+// fill executes the program until record p is buffered and reports whether
+// the stream reaches it.
+func (sh *sharedTrace) fill(p uint64) bool {
+	for p >= sh.base+uint64(len(sh.recs)) {
+		if sh.done {
+			return false
+		}
+		rec, ok := sh.src.Next()
+		if !ok {
+			sh.done = true
+			return false
+		}
+		if len(sh.recs) == cap(sh.recs) {
+			sh.compact()
+		}
+		sh.recs = append(sh.recs, rec)
+	}
+	return true
+}
+
+// compact drops the records every thread has read once they are at least
+// half of the full buffer; otherwise the next append grows it. Either way a
+// record is moved O(1) times on average.
+func (sh *sharedTrace) compact() {
+	low := slices.Min(sh.pos)
+	drop := low - sh.base
+	if drop == 0 || drop < uint64(len(sh.recs))/2 {
+		return
+	}
+	n := copy(sh.recs, sh.recs[drop:])
+	sh.recs = sh.recs[:n]
+	sh.base = low
+}
+
+// threadStream is one thread's cursor into a sharedTrace.
+type threadStream struct {
+	sh  *sharedTrace
+	id  int
+	err error
+}
+
+// Next implements Stream.
+func (s *threadStream) Next() (isa.DynInst, bool) {
+	sh := s.sh
+	p := sh.pos[s.id]
+	if !sh.fill(p) {
+		s.err = sh.src.Err()
+		return isa.DynInst{}, false
+	}
+	sh.pos[s.id] = p + 1
+	return sh.recs[p-sh.base], true
+}
+
+// Program implements Stream.
+func (s *threadStream) Program() *isa.Program { return s.sh.src.Program() }
+
+// Reset implements Stream. Once records have been dropped, rewinding one
+// thread restarts the shared execution; the other threads' records are
+// executed again as they ask for them.
+func (s *threadStream) Reset() {
+	sh := s.sh
+	sh.pos[s.id] = 0
+	s.err = nil
+	if sh.base > 0 {
+		sh.src.Reset()
+		sh.recs = sh.recs[:0]
+		sh.base = 0
+		sh.done = false
+	}
+}
+
+// Err implements Stream.
+func (s *threadStream) Err() error { return s.err }
 
 // Stats summarizes a dynamic instruction stream.
 type Stats struct {

@@ -281,6 +281,16 @@ func SimulateInto(res *Result, cfg *Config, streams []trace.Stream, maxCycles ui
 	}
 	err := c.run(maxCycles)
 	if err == nil {
+		// A stream that ended on an execution fault looks exhausted to the
+		// fetch loop; report the fault rather than the truncated run.
+		for t, s := range streams {
+			if serr := s.Err(); serr != nil {
+				err = fmt.Errorf("uarch: thread %d stream: %w", t, serr)
+				break
+			}
+		}
+	}
+	if err == nil {
 		res.Config = cfg
 		res.SMT = len(streams)
 		res.Activity = c.act

@@ -55,10 +55,8 @@ func (c *core) functionalWarm(streams []trace.Stream) error {
 				}
 			}
 		}
-		if es, ok := s.(interface{ Err() error }); ok {
-			if err := es.Err(); err != nil {
-				return fmt.Errorf("uarch: functional warming stream %d: %w", i, err)
-			}
+		if err := s.Err(); err != nil {
+			return fmt.Errorf("uarch: functional warming stream %d: %w", i, err)
 		}
 	}
 	// Warming is stat-free by contract: only the state survives.
