@@ -28,16 +28,20 @@ race-obs:
 # chaos is the fault-tolerance gate: the runner hardening tests under the
 # race detector, then a p10faults self-test campaign with forced panics,
 # transient failures, and hangs. The campaign must degrade gracefully —
-# classify what it can, tag what it lost, exit nonzero — and its metrics
-# snapshot must prove the panic-recovery path actually fired.
+# classify what it can, tag what it lost, exit nonzero — its metrics
+# snapshot must prove the panic-recovery path actually fired, and its
+# flight record must be a valid dump (the CLI harness's recorder path in a
+# second command besides the fabric's).
 chaos:
 	$(GO) test -race -run 'TestPanic|TestRetry|TestWatchdog|TestCancellation|TestChaos|TestCampaignSurvivesChaos' \
 		./internal/runner ./internal/faultinject
 	$(GO) run ./cmd/p10faults -chaos -trials 40 -jobs 4 \
-		-metrics /tmp/p10faults-chaos-metrics.json >/dev/null 2>/tmp/p10faults-chaos.log; \
+		-metrics /tmp/p10faults-chaos-metrics.json -flightrec /tmp/p10faults-chaos-flight.json \
+		>/dev/null 2>/tmp/p10faults-chaos.log; \
 		test $$? -eq 1 || { echo "chaos campaign did not exit 1"; cat /tmp/p10faults-chaos.log; exit 1; }
 	$(GO) run ./cmd/p10obscheck -metrics /tmp/p10faults-chaos-metrics.json \
 		-require-counter runner_panics_recovered_total
+	$(GO) run ./cmd/p10obscheck -flightrec /tmp/p10faults-chaos-flight.json
 
 # serve-check boots p10bench with the live observability server on an
 # ephemeral port, probes /healthz /readyz /metrics /status mid-sweep

@@ -13,15 +13,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"power10sim/internal/cliutil"
 	"power10sim/internal/power"
-	"power10sim/internal/rtl"
-	"power10sim/internal/trace"
+	"power10sim/internal/runner"
 	"power10sim/internal/uarch"
-	"power10sim/internal/workloads"
 )
 
 func main() {
@@ -40,45 +39,31 @@ func main() {
 	if *topN < 1 {
 		cliutil.Usagef("-top %d: must be >= 1", *topN)
 	}
-
-	var w *workloads.Workload
-	catalog := workloads.SPECintSuite()
-	catalog = append(catalog, workloads.Stressmark(true), workloads.ActiveIdle(),
-		workloads.Daxpy(4096, 6))
-	for _, cand := range catalog {
-		if cand.Name == *wlName {
-			w = cand
-		}
+	// The same simulation p10sim runs for this point: smt copies of the
+	// workload at its full budget.
+	req, err := runner.ResolveFull(*cfgName, *wlName, *smt, 0)
+	if err != nil {
+		cliutil.Usagef("%v", err)
 	}
-	if w == nil {
-		cliutil.Usagef("unknown workload %q", *wlName)
-	}
-	var cfg *uarch.Config
-	switch *cfgName {
-	case "POWER9", "p9":
-		cfg = uarch.POWER9()
-	case "POWER10", "p10":
-		cfg = uarch.POWER10()
-	case "POWER10-noMMA":
-		cfg = uarch.POWER10NoMMA()
-	default:
-		cliutil.Usagef("unknown config %q", *cfgName)
-	}
-
-	streams := trace.Threads(w.Prog, w.Budget/uint64(*smt), *smt)
-	res, err := uarch.Simulate(cfg, streams, 80_000_000, uarch.WithWarmup(w.Warmup))
+	res, err := req.Simulate()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	a := &res.Activity
-	model := power.NewModel(cfg)
+	writeReport(os.Stdout, req, &res.Activity, *topN)
+}
+
+// writeReport prints the deep-dive report of one simulated point: headline,
+// Einspower categories, the top components, Powerminer latch statistics and
+// per-unit busy fractions.
+func writeReport(out io.Writer, req runner.Request, a *uarch.Activity, topN int) {
+	model := power.NewModel(req.Cfg)
 	rep := model.Report(a)
 
-	fmt.Printf("%s on %s (SMT%d): IPC %.3f, power %.3f\n\n", w.Name, cfg.Name, *smt, a.IPC(), rep.Total)
-	fmt.Printf("Einspower categories: clock %.3f  switching %.3f (ghost %.4f)  array %.3f  leakage %.3f\n",
+	fmt.Fprintf(out, "%s on %s (SMT%d): IPC %.3f, power %.3f\n\n", req.W.Name, req.Cfg.Name, req.SMT, a.IPC(), rep.Total)
+	fmt.Fprintf(out, "Einspower categories: clock %.3f  switching %.3f (ghost %.4f)  array %.3f  leakage %.3f\n",
 		rep.Clock, rep.Switching, rep.Ghost, rep.Array, rep.Leakage)
-	fmt.Printf("active-idle floor %.3f, effective capacitance %.3f\n\n", rep.ActiveIdle, rep.EffCap)
+	fmt.Fprintf(out, "active-idle floor %.3f, effective capacitance %.3f\n\n", rep.ActiveIdle, rep.EffCap)
 
 	type comp struct {
 		name string
@@ -89,26 +74,25 @@ func main() {
 		comps = append(comps, comp{n, rep.Components[i]})
 	}
 	sort.Slice(comps, func(a, b int) bool { return comps[a].p > comps[b].p })
-	fmt.Printf("top %d of %d components:\n", *topN, len(comps))
+	fmt.Fprintf(out, "top %d of %d components:\n", topN, len(comps))
 	for i, c := range comps {
-		if i >= *topN {
+		if i >= topN {
 			break
 		}
-		fmt.Printf("  %-16s %8.4f  (%4.1f%%)\n", c.name, c.p, c.p/rep.Total*100)
+		fmt.Fprintf(out, "  %-16s %8.4f  (%4.1f%%)\n", c.name, c.p, c.p/rep.Total*100)
 	}
 
 	lstats := model.Latch.Analyze(a)
-	fmt.Printf("\nPowerminer latch statistics (%d latches):\n", lstats.TotalLatches)
-	fmt.Printf("  clock-enabled fraction   %.3f  (gating efficiency %.2f)\n",
+	fmt.Fprintf(out, "\nPowerminer latch statistics (%d latches):\n", lstats.TotalLatches)
+	fmt.Fprintf(out, "  clock-enabled fraction   %.3f  (gating efficiency %.2f)\n",
 		lstats.ClockEnabledFraction, model.Latch.GatingEff)
-	fmt.Printf("  potential switching      %.4f\n", lstats.PotentialSwitchRatio)
-	fmt.Printf("  observed switching       %.4f\n", lstats.ObservedSwitchRatio)
-	fmt.Printf("  ghost switching          %.5f (factor %.2f)\n",
+	fmt.Fprintf(out, "  potential switching      %.4f\n", lstats.PotentialSwitchRatio)
+	fmt.Fprintf(out, "  observed switching       %.4f\n", lstats.ObservedSwitchRatio)
+	fmt.Fprintf(out, "  ghost switching          %.5f (factor %.2f)\n",
 		lstats.GhostSwitchRatio, model.Latch.GhostFactor)
 
-	fmt.Println("\nper-unit busy fractions:")
+	fmt.Fprintln(out, "\nper-unit busy fractions:")
 	for u := uarch.Unit(0); u < uarch.NumUnits; u++ {
-		fmt.Printf("  %-12s %5.1f%%\n", u, a.BusyFraction(u)*100)
+		fmt.Fprintf(out, "  %-12s %5.1f%%\n", u, a.BusyFraction(u)*100)
 	}
-	_ = rtl.AccessEnergy // package reference for doc linkage
 }

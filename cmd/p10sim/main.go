@@ -13,21 +13,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 	"time"
 
 	"power10sim/internal/cliutil"
-	"power10sim/internal/flightrec"
-	"power10sim/internal/obsserver"
 	"power10sim/internal/power"
 	"power10sim/internal/progress"
 	"power10sim/internal/runlog"
@@ -35,28 +28,26 @@ import (
 	"power10sim/internal/sampling"
 	"power10sim/internal/simobs"
 	"power10sim/internal/telemetry"
-	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
 )
 
 func main() {
+	fl := cliutil.Register(flag.CommandLine, "p10sim",
+		cliutil.Metrics|cliutil.Trace|cliutil.FlightRec|cliutil.Serve|cliutil.RunLog)
 	var (
 		wlName     = flag.String("workload", "intcompute", "workload name (see -list)")
 		cfgName    = flag.String("config", "POWER10", "POWER9 | POWER10 | POWER10-noMMA")
 		smt        = flag.Int("smt", 1, "number of hardware threads (copies of the workload)")
 		budget     = flag.Uint64("budget", 0, "dynamic instruction budget per thread (0 = workload default)")
 		list       = flag.Bool("list", false, "list workloads and exit")
-		metricsOut = flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file to this file")
-		flightOut  = flag.String("flightrec", "", "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, or drain")
 		sample     = flag.Uint64("sample", 1000, "cycle-sampling interval for -trace counter tracks (0 = off)")
 		sampleMode = flag.String("sample-mode", "full", "full | sampled | validate: time every instruction, run the SimPoint-style sampling engine, or run both and compare")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-		serveAddr  = flag.String("serve", "", "serve the live observability endpoints on this address (e.g. :9090)")
-		runlogDir  = flag.String("runlog", "", "append this run's campaign-ledger record under this directory")
 	)
 	flag.Parse()
+	if err := fl.Validate(); err != nil {
+		cliutil.Usagef("%v", err)
+	}
 	if *smt < 1 {
 		cliutil.Usagef("-smt %d: must be >= 1", *smt)
 	}
@@ -66,16 +57,16 @@ func main() {
 		// Cycle-resolved telemetry and the live server narrate one complete
 		// timed run; a sampled run is many short window simulations, so these
 		// integrations only exist on the full path.
-		if *traceOut != "" {
+		if fl.Trace != "" {
 			cliutil.Usagef("-trace requires -sample-mode=full (sampled runs have no cycle-resolved trace)")
 		}
-		if *serveAddr != "" {
+		if fl.Serve != "" {
 			cliutil.Usagef("-serve requires -sample-mode=full")
 		}
-		if *runlogDir != "" {
+		if fl.RunLog != "" {
 			cliutil.Usagef("-runlog requires -sample-mode=full (the ledger keys one complete timed run)")
 		}
-		if *flightOut != "" {
+		if fl.FlightRec != "" {
 			cliutil.Usagef("-flightrec requires -sample-mode=full (sampled runs publish no progress events to record)")
 		}
 	default:
@@ -89,25 +80,8 @@ func main() {
 			cliutil.Usagef("-budget 0: must be > 0 (omit the flag for the workload default)")
 		}
 	})
-	if err := cliutil.CheckOutputPath("metrics", *metricsOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if err := cliutil.CheckOutputPath("trace", *traceOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if err := cliutil.CheckOutputPath("flightrec", *flightOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pprof: %v\n", err)
-			}
-		}()
-	}
-
-	cat := workloads.Catalog()
 	if *list {
+		cat := workloads.Catalog()
 		var names []string
 		for n := range cat {
 			names = append(names, n)
@@ -118,154 +92,52 @@ func main() {
 		}
 		return
 	}
-	w, ok := cat[*wlName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown workload %q (try -list)\n", *wlName)
-		os.Exit(1)
-	}
-	cfg := uarch.ConfigByName(*cfgName)
-	if cfg == nil {
-		fmt.Fprintf(os.Stderr, "unknown config %q\n", *cfgName)
-		os.Exit(1)
-	}
-	if w.Prog == nil {
-		fmt.Fprintln(os.Stderr, "workload has no program")
-		os.Exit(1)
-	}
-	bud := w.Budget
-	if *budget > 0 {
-		bud = *budget
-	}
-	if *sampleMode != "full" {
-		os.Exit(runSampled(w, cfg, *smt, bud, *sampleMode, *metricsOut))
-	}
-	var reg *telemetry.Registry
-	var tr *telemetry.Tracer
-	if *metricsOut != "" || *serveAddr != "" {
-		reg = telemetry.NewRegistry()
-	}
-	if *traceOut != "" {
-		tr = telemetry.NewTracer()
-	}
-	// A single simulation still publishes its lifecycle on the progress bus
-	// so -serve clients see the run on /events and /status; with no server
-	// (and thus no subscriber) every Publish is a single atomic load.
-	bus := progress.NewBus()
-	// Armed only when requested: a nil recorder is a no-op everywhere, and
-	// not subscribing keeps the unobserved-bus publish at one atomic load.
-	var frec *flightrec.Recorder
-	if *flightOut != "" {
-		frec = flightrec.New(flightrec.Options{
-			Command:  "p10sim",
-			Bus:      bus,
-			Registry: reg,
-			DumpPath: *flightOut,
-		})
-	}
-	frec.ArmSIGQUIT(nil)
-	defer frec.DumpOnPanic()
-	var server *obsserver.Server
-	if *serveAddr != "" {
-		var serr error
-		server, serr = obsserver.Start(*serveAddr, obsserver.Options{
-			Command: "p10sim", Registry: reg, Bus: bus,
-		})
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, serr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "obsserver: listening on %s\n", server.URL())
-	}
-	// One-shot ledger append: the record carries the same content key the
-	// runner's cache and ledger would use for an identical request, so ad-hoc
-	// p10sim runs join sweep history in p10query.
-	var led *runlog.Ledger
-	if *runlogDir != "" {
-		var lerr error
-		led, lerr = runlog.Open(*runlogDir, runlog.Options{Command: "p10sim"})
-		if lerr != nil {
-			cliutil.Usagef("%v", lerr)
-		}
-	}
-	logRun := func(rec runlog.Record) {
-		if led == nil {
-			return
-		}
-		if err := led.Append(rec); err != nil {
-			fmt.Fprintf(os.Stderr, "runlog: %v\n", err)
-		}
-		led.Close()
-		fmt.Fprintf(os.Stderr, "runlog: 1 record appended under %s\n", *runlogDir)
-	}
-	shutdown := func() {
-		if server != nil {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			server.Shutdown(sctx)
-			cancel()
-		}
-		bus.Close()
-	}
-	server.SetReady(true)
-	// SIGINT/SIGTERM cancel the simulation cooperatively through the core's
-	// context check; the error path below still appends the ledger record,
-	// publishes the failure event, shuts the server down, and exits nonzero —
-	// the same graceful drain p10bench performs for a whole sweep.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	// The drain flush closes a gap the normal paths cannot: a canceled
-	// simulation's error path exits before the telemetry writes below, and a
-	// wedged drain never reaches them at all.
-	cliutil.FlushOnDrain(ctx, func() {
-		frec.Note("drain signal received")
-		_ = frec.Dump("drain")
-		if *metricsOut != "" && reg != nil {
-			_ = reg.WriteFile(*metricsOut)
-		}
-	})
-	simName := fmt.Sprintf("%s@%s/smt%d", w.Name, cfg.Name, *smt)
-	// Recorded before Simulate so /metrics has a sample while the (possibly
-	// long) simulation is still running, not only after it retires.
-	if reg != nil {
-		reg.Counter("sims_started_total",
-			telemetry.L("workload", w.Name), telemetry.L("config", cfg.Name)).Add(1)
-	}
-	bus.Publish(progress.Event{Kind: progress.KindSimStarted, Sim: simName})
-	simStart := time.Now()
-	sp := tr.Begin("sim:"+simName, "p10sim")
-	res, err := simulate(cfg, w, *smt, bud,
-		uarch.WithContext(ctx),
-		simobs.SampleOption(cfg, tr, *sample, *smt))
-	sp.End()
-	// The ledger record mirrors the simulation actually run above, so its
-	// content key matches an identical runner request's.
-	baseRec := func() runlog.Record {
-		req := runner.Request{Cfg: cfg, W: w, SMT: *smt, Budget: bud,
-			Warmup: w.Warmup * uint64(*smt), MaxCycles: maxCycles}
-		key, _ := runner.ContentKey(req)
-		return runlog.Record{
-			Key: key, Config: cfg.Name, Workload: w.Name, SMT: *smt,
-			Budget: bud, Warmup: req.Warmup, MaxCycles: req.MaxCycles,
-			Tier: runlog.TierRun, Attempts: 1,
-			WallSeconds: time.Since(simStart).Seconds(),
-		}
-	}
+	req, err := runner.ResolveFull(*cfgName, *wlName, *smt, *budget)
 	if err != nil {
-		bus.Publish(progress.Event{Kind: progress.KindSimFailed, Sim: simName,
-			Err: err.Error(), Elapsed: time.Since(simStart).Seconds()})
 		fmt.Fprintln(os.Stderr, err)
-		rec := baseRec()
-		rec.Err = err.Error()
-		logRun(rec)
-		_ = frec.Dump(fmt.Sprintf("sim failed: %v", err))
-		shutdown()
 		os.Exit(1)
+	}
+	h := fl.Start(cliutil.Options{})
+	defer h.Recorder.DumpOnPanic()
+	if *sampleMode != "full" {
+		os.Exit(h.Finish(runSampled(h, req, *sampleMode)))
+	}
+	os.Exit(h.Finish(run(h, req, *sample)))
+}
+
+// run is the full-mode path: one simulation published on the bus (so -serve
+// clients see it on /events and /status), one ledger record carrying the
+// same content key an identical runner request would, then the stdout
+// report. SIGINT/SIGTERM cancel the simulation cooperatively through the
+// core's context check. Returns the exit code.
+func run(h *cliutil.Harness, req runner.Request, sample uint64) int {
+	w, cfg, smt := req.W, req.Cfg, req.SMT
+	simName := fmt.Sprintf("%s@%s/smt%d", w.Name, cfg.Name, smt)
+	// Recorded before the simulation so /metrics has a sample while a long
+	// run is still going, not only after it retires.
+	h.Registry.Counter("sims_started_total",
+		telemetry.L("workload", w.Name), telemetry.L("config", cfg.Name)).Add(1)
+	h.Bus.Publish(progress.Event{Kind: progress.KindSimStarted, Sim: simName})
+	h.Server.SetReady(true)
+	simStart := time.Now()
+	sp := h.Tracer.Begin("sim:"+simName, "p10sim")
+	res, err := req.Simulate(uarch.WithContext(h.Ctx), simobs.SampleOption(cfg, h.Tracer, sample, smt))
+	sp.End()
+	rec := ledgerRecord(req, time.Since(simStart))
+	if err != nil {
+		h.Bus.Publish(progress.Event{Kind: progress.KindSimFailed, Sim: simName,
+			Err: err.Error(), Elapsed: rec.WallSeconds})
+		fmt.Fprintln(os.Stderr, err)
+		h.Recorder.Note("sim failed: %v", err)
+		rec.Err = err.Error()
+		// A failed append resurfaces from the ledger's Close in Finish.
+		_ = h.Ledger.Append(rec)
+		return 1
 	}
 	a := &res.Activity
-	mdl := power.NewModel(cfg)
-	rep := mdl.Report(a)
-	bus.Publish(progress.Event{Kind: progress.KindSimFinished, Sim: simName,
+	rep := power.NewModel(cfg).Report(a)
+	h.Bus.Publish(progress.Event{Kind: progress.KindSimFinished, Sim: simName,
 		Elapsed: time.Since(simStart).Seconds(), IPC: a.IPC(), Power: rep.Total})
-	rec := baseRec()
 	cyc := float64(a.Cycles)
 	rec.Cycles = a.Cycles
 	rec.Instructions = a.Instructions
@@ -280,56 +152,30 @@ func main() {
 	if a.Instructions > 0 {
 		rec.EPI = rec.EnergyTotal / float64(a.Instructions)
 	}
-	logRun(rec)
-	writeReport(os.Stdout, w, cfg, *smt, a, rep)
-
-	if reg != nil {
-		labels := []telemetry.Label{
-			telemetry.L("workload", w.Name),
-			telemetry.L("config", cfg.Name),
-			telemetry.L("smt", fmt.Sprint(*smt)),
-		}
-		reg.Counter("sim_cycles_total", labels...).Add(a.Cycles)
-		reg.Counter("sim_instructions_total", labels...).Add(a.Instructions)
-		reg.Gauge("sim_ipc", labels...).Set(a.IPC())
-		reg.Gauge("sim_power_total", labels...).Set(rep.Total)
+	_ = h.Ledger.Append(rec)
+	writeReport(os.Stdout, w, cfg, smt, a, rep)
+	labels := []telemetry.Label{
+		telemetry.L("workload", w.Name),
+		telemetry.L("config", cfg.Name),
+		telemetry.L("smt", fmt.Sprint(smt)),
 	}
-	if *metricsOut != "" {
-		if err := reg.WriteFile(*metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			shutdown()
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", *metricsOut)
-	}
-	if *traceOut != "" {
-		if err := tr.WriteFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			shutdown()
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (%d events)\n", *traceOut, tr.Len())
-	}
-	if *flightOut != "" {
-		if err := frec.DumpFile(*flightOut, "end of run"); err != nil {
-			fmt.Fprintf(os.Stderr, "flightrec: %v\n", err)
-			shutdown()
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "flightrec: wrote %s\n", *flightOut)
-	}
-	shutdown()
+	h.Registry.Counter("sim_cycles_total", labels...).Add(a.Cycles)
+	h.Registry.Counter("sim_instructions_total", labels...).Add(a.Instructions)
+	h.Registry.Gauge("sim_ipc", labels...).Set(a.IPC())
+	h.Registry.Gauge("sim_power_total", labels...).Set(rep.Total)
+	return 0
 }
 
-// maxCycles bounds every full-mode simulation.
-const maxCycles = 50_000_000
-
-// simulate runs the full-mode simulation: smt threads of w, each bud
-// instructions long, with the workload's warmup scaled by the thread count.
-func simulate(cfg *uarch.Config, w *workloads.Workload, smt int, bud uint64, opts ...uarch.SimOption) (*uarch.Result, error) {
-	streams := trace.Threads(w.Prog, bud, smt)
-	opts = append([]uarch.SimOption{uarch.WithWarmup(w.Warmup * uint64(smt))}, opts...)
-	return uarch.Simulate(cfg, streams, maxCycles, opts...)
+// ledgerRecord is the ledger record of one full-mode run of req, keyed by
+// the content key the runner's cache and ledger use for the same request,
+// so ad-hoc p10sim runs join sweep history in p10query.
+func ledgerRecord(req runner.Request, wall time.Duration) runlog.Record {
+	key, _ := runner.ContentKey(req)
+	return runlog.Record{
+		Key: key, Config: req.Cfg.Name, Workload: req.W.Name, SMT: req.SMT,
+		Budget: req.Budget, Warmup: req.Warmup, MaxCycles: req.MaxCycles,
+		Tier: runlog.TierRun, Attempts: 1, WallSeconds: wall.Seconds(),
+	}
 }
 
 // writeReport prints the full-mode stdout report.
@@ -365,10 +211,10 @@ func max1(v uint64) float64 {
 // estimate; in validate mode also run the full simulation and compare against
 // the published error bounds (nonzero exit on violation). Returns the process
 // exit code.
-func runSampled(w *workloads.Workload, cfg *uarch.Config, smt int, bud uint64, mode, metricsOut string) int {
+func runSampled(h *cliutil.Harness, req runner.Request, mode string) int {
+	w, cfg, smt := req.W, req.Cfg, req.SMT
 	spec := sampling.DefaultSpec()
-	warmup := w.Warmup * uint64(smt)
-	est, err := sampling.Run(cfg, w.Prog, bud, warmup, smt, maxCycles, spec)
+	est, err := sampling.Run(cfg, w.Prog, req.Budget, req.Warmup, smt, req.MaxCycles, spec, uarch.WithContext(h.Ctx))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -390,7 +236,7 @@ func runSampled(w *workloads.Workload, cfg *uarch.Config, smt int, bud uint64, m
 	fmt.Printf("perf/W (norm)   %.4f\n", a.IPC()/rep.Total)
 	exit := 0
 	if mode == "validate" {
-		res, err := simulate(cfg, w, smt, bud)
+		res, err := req.Simulate(uarch.WithContext(h.Ctx))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -409,24 +255,17 @@ func runSampled(w *workloads.Workload, cfg *uarch.Config, smt int, bud uint64, m
 			fmt.Println("validate        ok")
 		}
 	}
-	if metricsOut != "" {
-		reg := telemetry.NewRegistry()
-		labels := []telemetry.Label{
-			telemetry.L("workload", w.Name),
-			telemetry.L("config", cfg.Name),
-			telemetry.L("smt", fmt.Sprint(smt)),
-		}
-		reg.Counter("sampling_intervals_total", labels...).Add(uint64(m.Intervals))
-		reg.Counter("sampling_simulated_total", labels...).Add(m.SimulatedInsts)
-		reg.Gauge("sampling_speedup", labels...).Set(m.Speedup())
-		reg.Gauge("sim_ipc", labels...).Set(a.IPC())
-		reg.Gauge("sim_power_total", labels...).Set(rep.Total)
-		if err := reg.WriteFile(metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", metricsOut)
+	labels := []telemetry.Label{
+		telemetry.L("workload", w.Name),
+		telemetry.L("config", cfg.Name),
+		telemetry.L("smt", fmt.Sprint(smt)),
 	}
+	reg := h.Registry
+	reg.Counter("sampling_intervals_total", labels...).Add(uint64(m.Intervals))
+	reg.Counter("sampling_simulated_total", labels...).Add(m.SimulatedInsts)
+	reg.Gauge("sampling_speedup", labels...).Set(m.Speedup())
+	reg.Gauge("sim_ipc", labels...).Set(a.IPC())
+	reg.Gauge("sim_power_total", labels...).Set(rep.Total)
 	return exit
 }
 

@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"power10sim/internal/fabric"
 	"power10sim/internal/power"
+	"power10sim/internal/runner"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
 )
@@ -49,4 +54,44 @@ func TestReportGoldens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLedgerKeyMatchesFabricSubmit pins one request constructor: the ledger
+// key of a p10sim run equals the key the coordinator's submit API assigns to
+// the same (config, workload, smt, budget) point, so both land on the same
+// cache entry and ledger history.
+func TestLedgerKeyMatchesFabricSubmit(t *testing.T) {
+	coord := fabric.NewCoordinator(fabric.CoordinatorOptions{})
+	defer coord.Close()
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	for _, c := range []fabric.SubmitRequest{
+		{Config: "POWER10", Workload: "compress", SMT: 1},
+		{Config: "POWER9", Workload: "daxpy", SMT: 4, Budget: 20000},
+	} {
+		body, _ := json.Marshal(c)
+		resp, err := http.Post(srv.URL+fabric.PathSubmit, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr fabric.SubmitResponse
+		err = json.NewDecoder(resp.Body).Decode(&sr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: submit status %d, decode %v", c, resp.StatusCode, err)
+		}
+		req, err := runner.ResolveFull(c.Config, c.Workload, c.SMT, c.Budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key := ledgerRecord(req, 0).Key; key == "" || key != sr.Key {
+			t.Errorf("%+v: p10sim ledger key %q, coordinator key %q", c, key, sr.Key)
+		}
+	}
+}
+
+// simulate runs p10sim's full-mode simulation of smt copies of w, each bud
+// instructions long.
+func simulate(cfg *uarch.Config, w *workloads.Workload, smt int, bud uint64) (*uarch.Result, error) {
+	return runner.FullRequest(cfg, w, smt, bud).Simulate()
 }

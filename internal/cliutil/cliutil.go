@@ -1,7 +1,8 @@
-// Package cliutil holds the flag-validation helpers shared by the command
-// binaries, so every CLI rejects bad inputs with a usage error (exit 2)
+// Package cliutil is the code the command binaries share: flag-validation
+// helpers, so every CLI rejects bad inputs with a usage error (exit 2)
 // before any simulation work starts instead of failing mid-sweep with an
-// obscure os error.
+// obscure os error, and the Harness, the one start-up and shutdown of the
+// simulation commands' observability artifacts (harness.go).
 package cliutil
 
 import (

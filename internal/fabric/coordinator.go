@@ -44,9 +44,6 @@ type CoordinatorOptions struct {
 	// control); the coordinator's own sweep is exempt — its concurrency is
 	// already bounded by the experiment harness.
 	QueueBound int
-	// Resolve maps an external SubmitRequest onto a full simulation request.
-	// Nil disables the external submit API (501).
-	Resolve func(SubmitRequest) (runner.Request, error)
 	// Bus receives fleet lifecycle events (worker joined/lost/drained, unit
 	// requeued/duplicate).
 	Bus *progress.Bus
@@ -907,15 +904,13 @@ func (c *Coordinator) Handler() http.Handler {
 		writeJSON(w, c.Complete(req))
 	})
 	mux.HandleFunc("POST "+PathSubmit, func(w http.ResponseWriter, r *http.Request) {
-		if c.opts.Resolve == nil {
-			http.Error(w, "fabric: no submit resolver configured", http.StatusNotImplemented)
-			return
-		}
 		var req SubmitRequest
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		simReq, err := c.opts.Resolve(req)
+		// External points are full-mode requests, keyed exactly as the same
+		// point run by p10sim.
+		simReq, err := runner.ResolveFull(req.Config, req.Workload, req.SMT, req.Budget)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -32,6 +32,7 @@ package runlog
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -203,6 +204,12 @@ type Ledger struct {
 	sfNeedNL bool
 	series   uint64
 
+	// failed counts appends (records or series) that did not reach disk;
+	// firstErr is the first of them. Close reports both, so a caller that
+	// does not check every Append (the runner) still cannot lose a failure.
+	failed   uint64
+	firstErr error
+
 	// Telemetry (nil-safe): the runlog_* counter family.
 	recCtr, byteCtr, seriesCtr *telemetry.Counter
 }
@@ -300,7 +307,7 @@ func (l *Ledger) Append(rec Record) error {
 		return fmt.Errorf("runlog: marshal: %w", err)
 	}
 	if err := appendLine(l.f, &l.needNL, data); err != nil {
-		return fmt.Errorf("runlog: append: %w", err)
+		return l.fail(fmt.Errorf("runlog: append: %w", err))
 	}
 	l.nextSeq++
 	l.records++
@@ -404,37 +411,50 @@ func (l *Ledger) AppendSeries(s *Series) error {
 		}
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return fmt.Errorf("runlog: open series: %w", err)
+			return l.fail(fmt.Errorf("runlog: open series: %w", err))
 		}
 		l.sf = f
 	}
 	if err := appendLine(l.sf, &l.sfNeedNL, data); err != nil {
-		return fmt.Errorf("runlog: append series: %w", err)
+		return l.fail(fmt.Errorf("runlog: append series: %w", err))
 	}
 	l.series++
 	l.seriesCtr.Inc()
 	return nil
 }
 
-// Close closes the ledger (and series) file handles. Safe on nil.
+// fail records a failed append for Close to report (caller holds mu).
+func (l *Ledger) fail(err error) error {
+	l.failed++
+	if l.firstErr == nil {
+		l.firstErr = err
+	}
+	return err
+}
+
+// Close closes the ledger (and series) file handles. Its error reports every
+// way the ledger lost data this process: failed appends (counted, with the
+// first cause) and a failed close. Safe on nil.
 func (l *Ledger) Close() error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var err error
-	if l.sf != nil {
-		err = l.sf.Close()
-		l.sf = nil
+	var errs []error
+	if l.failed > 0 {
+		errs = append(errs, fmt.Errorf("runlog: %d append(s) failed, first: %w", l.failed, l.firstErr))
 	}
-	if l.f != nil {
-		if cerr := l.f.Close(); err == nil {
-			err = cerr
+	for _, f := range []**os.File{&l.sf, &l.f} {
+		if *f == nil {
+			continue
 		}
-		l.f = nil
+		if err := (*f).Close(); err != nil {
+			errs = append(errs, fmt.Errorf("runlog: %w", err))
+		}
+		*f = nil
 	}
-	return err
+	return errors.Join(errs...)
 }
 
 // scanFile reads a ledger file tolerantly: parseable current-schema lines

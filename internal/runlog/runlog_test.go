@@ -286,6 +286,40 @@ func TestNilLedgerIsOff(t *testing.T) {
 	}
 }
 
+// TestCloseReportsFailedAppends pins the ledger's one error policy: callers
+// that do not check each Append (the runner's per-request records) still
+// see a lost record, because Close returns the failure count and first cause.
+func TestCloseReportsFailedAppends(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Command: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(testRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Swap the append handle for a read-only one: every write now fails the
+	// way a full or revoked disk would.
+	ro, err := os.Open(filepath.Join(dir, LedgerFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.f.Close()
+	l.f = ro
+	for i := 2; i <= 3; i++ {
+		if err := l.Append(testRecord(i)); err == nil {
+			t.Fatal("append to a read-only handle succeeded")
+		}
+	}
+	err = l.Close()
+	if err == nil || !strings.Contains(err.Error(), "runlog: 2 append(s) failed, first: runlog: append:") {
+		t.Fatalf("Close() = %v, want the two failed appends reported", err)
+	}
+	if recs, _ := l.Appended(); recs != 1 {
+		t.Errorf("Appended() = %d records, want 1", recs)
+	}
+}
+
 // TestSeriesCaptureDecimation drives a capture far past its frame budget
 // and asserts the bound holds, widths double, and the totals (instructions,
 // energy) are preserved exactly by merging.

@@ -31,7 +31,6 @@ import (
 	"power10sim/internal/runlog"
 	"power10sim/internal/sampling"
 	"power10sim/internal/telemetry"
-	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
 )
@@ -158,8 +157,7 @@ func (r Request) runCtx(ctx context.Context) Result {
 		act := est.Activity
 		return Result{Activity: &act, Report: est.Report, Sampling: &est.Meta}
 	}
-	streams := trace.Threads(r.W.Prog, r.Budget, smt)
-	opts := []uarch.SimOption{uarch.WithWarmup(r.Warmup), uarch.WithStrictCycleLimit()}
+	opts := []uarch.SimOption{uarch.WithStrictCycleLimit()}
 	if ctx != nil && ctx.Done() != nil {
 		opts = append(opts, uarch.WithContext(ctx))
 	}
@@ -169,7 +167,7 @@ func (r Request) runCtx(ctx context.Context) Result {
 	if r.Upset != nil {
 		opts = append(opts, uarch.WithUpset(r.Upset))
 	}
-	res, err := uarch.Simulate(r.Cfg, streams, r.MaxCycles, opts...)
+	res, err := r.Simulate(opts...)
 	if err != nil {
 		return Result{Err: fmt.Errorf("%s on %s (SMT%d): %w", r.W.Name, r.Cfg.Name, smt, err)}
 	}

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"power10sim/internal/experiments"
@@ -69,6 +70,30 @@ func Catalog() []Experiment {
 	}
 }
 
+// List prints the catalog for -list: one "name title" line per experiment,
+// sorted by name.
+func List(w io.Writer, cat []Experiment) {
+	names := make([]string, len(cat))
+	for i, e := range cat {
+		names[i] = fmt.Sprintf("%-10s %s", e.Name, e.Title)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintln(w, n)
+	}
+}
+
+// Selects reports whether filter names an experiment in cat; the empty
+// filter selects them all.
+func Selects(cat []Experiment, filter string) bool {
+	for _, e := range cat {
+		if filter == "" || e.Name == filter {
+			return true
+		}
+	}
+	return false
+}
+
 // Outcome summarizes one driver pass for the caller's exit-status logic.
 type Outcome struct {
 	// Ran counts experiments attempted (after the filter).
@@ -77,6 +102,10 @@ type Outcome struct {
 	Failed []string
 	// Elapsed is the whole sweep's wall time.
 	Elapsed time.Duration
+	// Interrupted is set when ctx was canceled by the end of the sweep.
+	Interrupted bool
+
+	failures *experiments.FailureLog
 }
 
 // Run drives the catalog in order: banner, experiment, table. A filter
@@ -119,8 +148,41 @@ func Run(ctx context.Context, w io.Writer, cat []Experiment, filter string, opt 
 			Experiment: e.Name, Elapsed: elapsed.Seconds()})
 	}
 	out.Elapsed = time.Since(start)
+	out.Interrupted = ctx.Err() != nil
+	out.failures = opt.Failures
 	opt.Progress.Publish(progress.Event{Kind: progress.KindSweepDone, Elapsed: out.Elapsed.Seconds()})
 	return out
+}
+
+// Report closes a sweep: the cache summary line on stdout; the pool and
+// disk-cache diagnostics (cacheDir "" = no disk cache), every degraded point,
+// every failed experiment and an interruption on stderr. It returns the exit
+// status, 1 when the sweep failed anywhere or was interrupted, so automation
+// never mistakes partial results for a clean run.
+func (o Outcome) Report(stdout, stderr io.Writer, pool *runner.Runner, cacheDir string) int {
+	st := pool.Stats()
+	Summary(stdout, st)
+	// Pool pressure is scheduling-dependent, so it joins the timing on
+	// stderr rather than the deterministic stdout summary.
+	fmt.Fprintf(stderr, "total: %.1fs with %d workers, peak in-flight %d, total queue wait %.2fs\n",
+		o.Elapsed.Seconds(), pool.Workers(), st.PeakInFlight, st.QueueWait.Seconds())
+	if cacheDir != "" {
+		DiskTotals(stderr, st, cacheDir)
+	}
+	exit := 0
+	if s := o.failures.Summary(); s != "" {
+		fmt.Fprint(stderr, s)
+		exit = 1
+	}
+	if len(o.Failed) > 0 {
+		fmt.Fprintf(stderr, "%d experiment(s) failed: %v\n", len(o.Failed), o.Failed)
+		exit = 1
+	}
+	if o.Interrupted {
+		fmt.Fprintln(stderr, "sweep interrupted")
+		exit = 1
+	}
+	return exit
 }
 
 // Summary renders the cache-effectiveness line that closes the sweep's
@@ -134,12 +196,6 @@ func Summary(w io.Writer, st runner.Stats) {
 	}
 	fmt.Fprintf(w, "runner: %d simulation requests, %d unique runs, %d cache hits (%.1f%%)\n",
 		total, st.Misses, st.Hits, pct)
-}
-
-// Totals renders the scheduling-dependent pool diagnostics (stderr).
-func Totals(w io.Writer, st runner.Stats, workers int, elapsed time.Duration) {
-	fmt.Fprintf(w, "total: %.1fs with %d workers, peak in-flight %d, total queue wait %.2fs\n",
-		elapsed.Seconds(), workers, st.PeakInFlight, st.QueueWait.Seconds())
 }
 
 // DiskTotals renders the persistent-cache traffic line (stderr).

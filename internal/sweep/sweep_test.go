@@ -3,9 +3,11 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"power10sim/internal/experiments"
@@ -85,5 +87,36 @@ func TestFirstDiff(t *testing.T) {
 		if ok || line != c.line {
 			t.Errorf("firstDiff(%q, %q) = line %d ok=%v, want line %d", c.got, c.want, line, ok, c.line)
 		}
+	}
+}
+
+// TestReportExitStatus: the post-sweep report exits 0 only for a clean,
+// complete sweep, and names every reason it does not.
+func TestReportExitStatus(t *testing.T) {
+	pool := runner.New(1)
+	var stdout, stderr bytes.Buffer
+	if code := (Outcome{Ran: 1}).Report(&stdout, &stderr, pool, ""); code != 0 {
+		t.Errorf("clean sweep exit %d, stderr:\n%s", code, stderr.String())
+	}
+	if !strings.HasPrefix(stdout.String(), "runner: 0 simulation requests") {
+		t.Errorf("stdout summary = %q", stdout.String())
+	}
+	failures := new(experiments.FailureLog)
+	failures.Add("fig5", errors.New("boom"))
+	for _, o := range []Outcome{
+		{Ran: 1, failures: failures},
+		{Ran: 1, Failed: []string{"fig5"}},
+		{Interrupted: true},
+	} {
+		stderr.Reset()
+		if code := o.Report(&stdout, &stderr, pool, "cache"); code != 1 {
+			t.Errorf("%+v: exit %d, want 1", o, code)
+		}
+		if !strings.Contains(stderr.String(), "diskcache: ") {
+			t.Errorf("%+v: no disk-cache line with a cache dir:\n%s", o, stderr.String())
+		}
+	}
+	if !strings.Contains(stderr.String(), "sweep interrupted") {
+		t.Errorf("interrupted sweep not reported:\n%s", stderr.String())
 	}
 }

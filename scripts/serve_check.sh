@@ -25,8 +25,10 @@ fail() {
 $GO build -o "$TMP/p10bench" ./cmd/p10bench
 $GO build -o "$TMP/p10obscheck" ./cmd/p10obscheck
 
-# fig10 runs long enough (~10s quick) that every probe below lands mid-sweep.
-"$TMP/p10bench" -quick -exp fig10 -serve 127.0.0.1:0 -metrics "$TMP/metrics.json" \
+# The sampled-vs-full validation sweep runs long enough (~16s on 2 CPUs)
+# that every probe below lands mid-sweep; any quick figure now finishes
+# within a second, before the probes start.
+"$TMP/p10bench" -sample-mode=validate -serve 127.0.0.1:0 -metrics "$TMP/metrics.json" \
     -runlog "$TMP/runlog" >"$TMP/stdout" 2>"$TMP/stderr" &
 PID=$!
 
@@ -47,7 +49,7 @@ curl -sf "http://$ADDR/metrics" | "$TMP/p10obscheck" -prom - || fail "/metrics f
 STATUS=$(curl -sf "http://$ADDR/status") || fail "/status fetch failed"
 echo "$STATUS" | grep -q '"command": "p10bench"' || fail "/status missing command: $STATUS"
 echo "$STATUS" | grep -q '"ready": true' || fail "/status not ready: $STATUS"
-echo "$STATUS" | grep -q '"name": "fig10"' || fail "/status missing fig10 progress: $STATUS"
+echo "$STATUS" | grep -q '"name": "sample-validate"' || fail "/status missing sample-validate progress: $STATUS"
 echo "$STATUS" | grep -q '"go_version"' || fail "/status missing build info: $STATUS"
 # The embedded dashboard must be a self-contained page: live (EventSource)
 # and dependency-free (no external script/style references).
